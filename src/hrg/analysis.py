@@ -23,6 +23,7 @@ from .graphgen import Graph, layer_of_radius
 from .sampling import PointSet
 
 __all__ = [
+    "GraphAnalysis",
     "ComponentReport",
     "DegreeStats",
     "BandDiagnostics",
@@ -45,6 +46,7 @@ __all__ = [
     "core_node_ids",
     "inner_band_hops",
     "greedy_route",
+    "analyze_graph",
 ]
 
 # Components no larger than this get their diameter from all-pairs BFS;
@@ -87,10 +89,6 @@ def connected_components(g: Graph) -> np.ndarray:
     first = np.full(count, g.n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(g.n, dtype=np.int64))
     return first[raw]
-
-
-def _component_nodes(labels: np.ndarray, label: int) -> np.ndarray:
-    return np.nonzero(labels == label)[0]
 
 
 def _apsp_diameter(g: Graph, nodes: np.ndarray) -> int:
@@ -166,40 +164,31 @@ class ComponentReport:
     max_component_diameter: int
 
     def nodes_of(self, label: int) -> np.ndarray:
-        return _component_nodes(self.labels, label)
+        return np.nonzero(self.labels == label)[0]
 
 
 def component_report(g: Graph, with_diameters: bool = True) -> ComponentReport:
     labels = connected_components(g)
     if g.n == 0:
         return ComponentReport(labels, [], -1, 0, 0, 0, 0)
-    uniq, counts = np.unique(labels, return_counts=True)
+    members = np.argsort(labels, kind="stable")
+    uniq, starts, counts = np.unique(labels[members], return_index=True, return_counts=True)
     order = np.lexsort((uniq, -counts))
-    uniq, counts = uniq[order], counts[order]
-    giant_label = int(uniq[0])
-    giant_size = int(counts[0])
-    second_size = int(counts[1]) if counts.size > 1 else 0
-
-    giant_diameter = 0
-    max_diameter = 0
+    uniq, starts, counts = uniq[order], starts[order], counts[order]
+    # counts are descending, so the components of two or more nodes come first
+    diameters = []
     if with_diameters:
-        for label, size in zip(uniq, counts):
-            nodes = _component_nodes(labels, int(label))
-            if size <= _SMALL_COMPONENT:
-                dia = _apsp_diameter(g, nodes) if size > 1 else 0
-            else:
-                dia = exact_diameter(g, nodes)
-            if int(label) == giant_label:
-                giant_diameter = dia
-            max_diameter = max(max_diameter, dia)
+        for start, size in zip(starts, counts[counts > 1]):
+            diameter = exact_diameter if size > _SMALL_COMPONENT else _apsp_diameter
+            diameters.append(diameter(g, members[start : start + size]))
     return ComponentReport(
         labels=labels,
-        sizes=[int(c) for c in counts],
-        giant_label=giant_label,
-        giant_size=giant_size,
-        second_size=second_size,
-        giant_diameter=giant_diameter,
-        max_component_diameter=max_diameter,
+        sizes=counts.tolist(),
+        giant_label=int(uniq[0]),
+        giant_size=int(counts[0]),
+        second_size=int(counts[1]) if counts.size > 1 else 0,
+        giant_diameter=diameters[0] if diameters else 0,
+        max_component_diameter=max(diameters, default=0),
     )
 
 
@@ -252,9 +241,12 @@ def layer_index(p: PolarPoint, params: ModelParams) -> int:
 
 
 def inner_band_radius(params: ModelParams, c: float = 1.0) -> float:
-    """Boundary radius of the inner band, R - ln(R)/(1-alpha) - c."""
+    """Boundary radius of the inner band, R - ln(R)/(1-alpha) - c; at R = 0
+    (n = 1, C = 0) its limit, +inf."""
     if params.alpha >= 1.0:
         raise ValueError("inner band is undefined for alpha >= 1")
+    if params.R == 0.0:
+        return math.inf
     return params.R - math.log(params.R) / (1.0 - params.alpha) - c
 
 
@@ -404,13 +396,12 @@ def check_underpass(g: Graph, trials: int, seed: int = 0, tol: float = 1e-9) -> 
 
 
 def check_core_clique(g: Graph) -> bool:
-    """True iff every pair of nodes with radius <= R/2 is adjacent."""
-    core = core_node_ids(g)
-    for a in range(core.size):
-        for b in range(a + 1, core.size):
-            if not g.has_edge(int(core[a]), int(core[b])):
-                return False
-    return True
+    """True iff every pair of nodes with radius <= R/2 is adjacent: the k core
+    nodes' (duplicate-free) neighbor lists then hold k(k-1) core entries."""
+    core = g.pointset.r <= g.pointset.params.R / 2.0
+    ids = np.nonzero(core)[0]
+    nbrs = g.indices[concatenated_ranges(g.indptr[ids], g.degrees[ids])]
+    return int(np.count_nonzero(core[nbrs])) == ids.size * (ids.size - 1)
 
 
 @dataclass(frozen=True)
@@ -492,3 +483,34 @@ def greedy_route(g: Graph, s: int, t: int) -> RouteResult:
             return RouteResult(False, path)
         cur, cur_dist = nxt, float(dists[k])
         path.append(cur)
+
+
+@dataclass(frozen=True, eq=False)
+class GraphAnalysis:
+    """The analyses of one graph that the sweep row, the schema-1 report
+    and ``hrg verify`` read."""
+
+    components: ComponentReport
+    degrees: DegreeStats
+    bands: BandDiagnostics
+    reach: InnerBandReach
+    core_size: int
+    core_clique: bool
+    core_in_giant: bool
+
+
+def analyze_graph(g: Graph, inner_c: float = 1.0) -> GraphAnalysis:
+    """Components with exact diameters, degrees, bands, hops from the core to
+    the inner band, and whether the core (radius <= R/2) is a clique in the giant."""
+    params = g.pointset.params
+    comps = component_report(g)
+    core = core_node_ids(g)
+    return GraphAnalysis(
+        components=comps,
+        degrees=degree_stats(g),
+        bands=band_diagnostics(g.pointset, params, inner_c),
+        reach=inner_band_hops(g, params, inner_c),
+        core_size=int(core.size),
+        core_clique=check_core_clique(g),
+        core_in_giant=bool(np.all(comps.labels[core] == comps.giant_label)),
+    )

@@ -64,6 +64,8 @@ def _cmd_generate(args) -> int:
     from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
 
     try:
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
         params = ModelParams(args.n, args.alpha, args.c_param)
     except ValueError as exc:
         print(f"hrg generate: {exc}", file=sys.stderr)
@@ -86,6 +88,9 @@ def _cmd_analyze(args) -> int:
 
     with open(args.coords, "r", encoding="utf-8") as fh:
         ps = read_coords(fh)
+    if not ps.params.alpha < 1.0:
+        print(f"hrg analyze: need alpha < 1, got alpha={ps.params.alpha!r}", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.edges, "r", encoding="utf-8") as fh:
         edges = read_edges(fh, len(ps))
     g = Graph.from_edge_array(ps, edges[:, 0], edges[:, 1])

@@ -1,7 +1,8 @@
 """Sweep harness: run (n, seed) cells, collect per-cell records, emit CSV.
 
 A sweep cell samples a point set, builds the graph with the banded
-generator, and runs the toggled analyses. Cells are independent; with
+generator, runs :func:`~hrg.analysis.analyze_graph` and, when asked, the
+underpass check. Cells are independent; with
 ``jobs > 1`` they run in a process pool, and the output row order is by
 (n, seed) regardless of completion order. All fields except the ``*_ms``
 timings are deterministic functions of the config.
@@ -17,15 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TextIO
 
-from .analysis import (
-    check_core_clique,
-    check_underpass,
-    component_report,
-    core_node_ids,
-    degree_stats,
-    inner_band_hops,
-    max_empty_sector_run,
-)
+from .analysis import analyze_graph, check_underpass
 from .geometry import ModelParams
 from .graphgen import build_banded
 from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
@@ -51,7 +44,7 @@ CSV_COLUMNS = [
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep: the n values, model constants, seeds per n, and toggles.
+    """One sweep: the n values, model constants, seeds per n, and underpass trials.
 
     Seeds run 1..seeds for every n. ``underpass_trials`` is the per-cell
     triple count (0 disables the check).
@@ -66,10 +59,6 @@ class SweepConfig:
     out_csv: str = ""
     jobs: int = 1
     underpass_trials: int = 0
-    run_diameter: bool = True
-    run_degrees: bool = True
-    run_sectors: bool = True
-    run_inner_hops: bool = True
 
     def __post_init__(self) -> None:
         values = tuple(int(v) for v in self.n_values)
@@ -153,31 +142,22 @@ def _run_cell(config: SweepConfig, n: int, seed: int) -> SweepRecord:
         record.gen_ms = (time.perf_counter() - t0) * 1000.0
         record.m = float(g.m)
         t1 = time.perf_counter()
-        if config.run_degrees:
-            degrees = degree_stats(g)
-            record.mean_degree = degrees.mean_degree
-            record.beta_hat = degrees.beta_hat
-        comps = component_report(g, with_diameters=config.run_diameter)
-        record.giant_size = float(comps.giant_size)
-        record.second_size = float(comps.second_size)
-        if config.run_diameter:
-            record.giant_diameter = float(comps.giant_diameter)
-        if config.run_sectors:
-            record.max_empty_run = float(max_empty_sector_run(ps, params, config.inner_c))
-        if config.run_inner_hops:
-            reach = inner_band_hops(g, params, config.inner_c)
-            record.inner_band_hops = float(reach.max_hops)
-            record.inner_anomalies = reach.anomalies
+        result = analyze_graph(g, config.inner_c)
+        record.mean_degree = result.degrees.mean_degree
+        record.beta_hat = result.degrees.beta_hat
+        record.giant_size = float(result.components.giant_size)
+        record.second_size = float(result.components.second_size)
+        record.giant_diameter = float(result.components.giant_diameter)
+        record.max_empty_run = float(result.bands.max_empty_sector_run)
+        record.inner_band_hops = float(result.reach.max_hops)
+        record.inner_anomalies = result.reach.anomalies
+        record.core_size = result.core_size
+        record.core_clique = result.core_clique
+        record.core_in_giant = result.core_in_giant
         if config.underpass_trials > 0:
-            result = check_underpass(g, config.underpass_trials, seed=seed)
-            record.underpass_violations = result.violations
-            record.underpass_tested = result.tested
-        core = core_node_ids(g)
-        record.core_size = int(core.size)
-        record.core_clique = check_core_clique(g)
-        record.core_in_giant = bool(
-            core.size == 0 or bool((comps.labels[core] == comps.giant_label).all())
-        )
+            underpass = check_underpass(g, config.underpass_trials, seed=seed)
+            record.underpass_violations = underpass.violations
+            record.underpass_tested = underpass.tested
         record.analysis_ms = (time.perf_counter() - t1) * 1000.0
     except Exception as exc:  # isolate the failing cell, keep the sweep going
         record.failed = True

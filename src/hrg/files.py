@@ -16,14 +16,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .analysis import (
-    band_diagnostics,
-    check_core_clique,
-    component_report,
-    core_node_ids,
-    degree_stats,
-)
-from .geometry import ModelParams
+from .analysis import analyze_graph
+from .geometry import TWO_PI, ModelParams
 from .graphgen import Graph
 from .sampling import MODE_FIXED, MODE_POISSON, PointSet
 
@@ -73,11 +67,11 @@ def _parse_header(line: str) -> tuple[ModelParams, int, str]:
         radius = float(fields["R"])
         seed = int(fields["seed"])
         mode = fields["mode"]
+        params = ModelParams(n=n, alpha=alpha, C=c_param)
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"bad header field ({exc})", 1) from None
     if mode not in (MODE_FIXED, MODE_POISSON):
         raise DataFormatError(f"unknown mode {mode!r}", 1)
-    params = ModelParams(n=n, alpha=alpha, C=c_param)
     if not math.isclose(params.R, radius, rel_tol=0.0, abs_tol=1e-9):
         raise DataFormatError(
             f"header R={radius} does not match 2*ln(n)+C={params.R}", 1
@@ -90,7 +84,6 @@ def read_coords(stream: TextIO) -> PointSet:
     if not header:
         raise DataFormatError("empty coordinate file", 1)
     params, seed, mode = _parse_header(header)
-    ids = []
     radii = []
     angles = []
     for line_no, line in enumerate(stream, start=2):
@@ -100,15 +93,15 @@ def read_coords(stream: TextIO) -> PointSet:
         if len(parts) != 3:
             raise DataFormatError("expected '<id>\\t<r>\\t<phi>'", line_no)
         try:
-            ids.append(int(parts[0]))
-            radii.append(float(parts[1]))
-            angles.append(float(parts[2]))
+            idx, r, phi = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise DataFormatError(str(exc), line_no) from None
-        if ids[-1] != len(ids) - 1:
-            raise DataFormatError(
-                f"ids must be sequential from 0, got {ids[-1]}", line_no
-            )
+        if idx != len(radii):
+            raise DataFormatError(f"ids must be sequential from 0, got {idx}", line_no)
+        if not (0.0 <= r <= params.R and 0.0 <= phi < TWO_PI):  # also false for NaN
+            raise DataFormatError(f"point {idx} ({r!r}, {phi!r}) not in [0, R] x [0, 2pi)", line_no)
+        radii.append(r)
+        angles.append(phi)
     try:
         return PointSet(
             params,
@@ -166,17 +159,13 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-def build_report(g: Graph, inner_c: float = 1.0, with_diameters: bool = True) -> dict:
-    """Assemble the analysis report with frozen key names (schema 1)."""
+def build_report(g: Graph, inner_c: float = 1.0) -> dict:
+    """Map :func:`~hrg.analysis.analyze_graph` onto the report's frozen key
+    names (schema 1)."""
     ps = g.pointset
     params = ps.params
-    comps = component_report(g, with_diameters=with_diameters)
-    degrees = degree_stats(g)
-    bands = band_diagnostics(ps, params, inner_c)
-    core = core_node_ids(g)
-    core_in_giant = bool(
-        core.size == 0 or np.all(comps.labels[core] == comps.giant_label)
-    )
+    result = analyze_graph(g, inner_c)
+    comps, degrees, bands = result.components, result.degrees, result.bands
     return {
         "schema": REPORT_SCHEMA,
         "model": {
@@ -221,9 +210,9 @@ def build_report(g: Graph, inner_c: float = 1.0, with_diameters: bool = True) ->
             "max_nodes_in_window": bands.max_nodes_in_window,
         },
         "checks": {
-            "core_size": int(core.size),
-            "core_clique": check_core_clique(g),
-            "core_in_giant": core_in_giant,
+            "core_size": result.core_size,
+            "core_clique": result.core_clique,
+            "core_in_giant": result.core_in_giant,
         },
     }
 

@@ -45,9 +45,10 @@ class ModelParams:
     is derived and kept consistent with the inputs.
 
     Degree power laws with exponent between 2 and 3 correspond to
-    ``1/2 < alpha < 1``. Any positive alpha is accepted, but values outside
-    that window are flagged via :attr:`in_supported_regime` rather than
-    rejected.
+    ``1/2 < alpha < 1``. Any finite positive alpha is accepted, but values
+    outside that window are flagged via :attr:`in_supported_regime` rather
+    than rejected. ``ValueError`` rejects a non-finite alpha or C, R < 0,
+    and alpha * R >= 700, where cosh(alpha * R) overflows a double.
     """
 
     n: int
@@ -58,9 +59,12 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"node count must be at least 1, got {self.n}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(self, "R", 2.0 * math.log(self.n) + self.C)
+        if not (0.0 < self.alpha < math.inf and math.isfinite(self.C)):
+            raise ValueError(f"need finite alpha > 0 and finite C, got {self.alpha}, {self.C}")
+        radius = 2.0 * math.log(self.n) + self.C
+        if not 0.0 <= self.alpha * radius < 700.0:
+            raise ValueError(f"need 0 <= alpha * R < 700, got R = 2 ln n + C = {radius}")
+        object.__setattr__(self, "R", radius)
 
     @property
     def in_supported_regime(self) -> bool:

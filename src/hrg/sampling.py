@@ -35,12 +35,10 @@ __all__ = [
 def radial_icdf(u, params: ModelParams):
     """Inverse radial CDF: maps uniform u in [0, 1] to a radius in [0, R].
 
-    Exact inverse of :func:`hrg.geometry.mu_ball_origin_exact`.
+    Exact inverse of :func:`hrg.geometry.mu_ball_origin_exact`;
+    ``ModelParams`` keeps alpha * R below 700, so cosh(alpha * R) is finite.
     """
     a = params.alpha
-    # cosh(alpha * R) must stay below double overflow; alpha * R < 700
-    # holds for any feasible node count.
-    assert a * params.R < 700.0, "alpha * R too large for double precision"
     u = np.asarray(u, dtype=float)
     out = np.arccosh(1.0 + u * (math.cosh(a * params.R) - 1.0)) / a
     return float(out) if out.ndim == 0 else out

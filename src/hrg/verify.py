@@ -17,10 +17,10 @@ from scipy import stats
 
 from .analysis import (
     _apsp_diameter,
+    analyze_graph,
     check_core_clique,
     check_underpass,
     component_report,
-    core_node_ids,
     exact_diameter,
 )
 from .geometry import (
@@ -217,23 +217,19 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
     ps = sample_fixed(ModelParams(n, 0.75, 0.0), seed)
     g = build_banded(ps)
     result = check_underpass(g, trials, seed=seed)
-    comps = component_report(g, with_diameters=False)
-    core = core_node_ids(g)
-    contained = bool(
-        core.size == 0 or bool((comps.labels[core] == comps.giant_label).all())
-    )
+    analysis = analyze_graph(g)
     return [
         _det(
             "analysis/underpass",
             result.violations == 0 and result.tested == trials,
             f"{result.tested} triples, {result.violations} violations (n={n})",
         ),
-        _det("analysis/core-clique", check_core_clique(g), f"core size {core.size}"),
+        _det("analysis/core-clique", analysis.core_clique, f"core size {analysis.core_size}"),
         CheckResult(
             "analysis/core-in-giant",
             "probabilistic",
-            contained,
-            f"core size {core.size} inside giant={contained}",
+            analysis.core_in_giant,
+            f"core size {analysis.core_size} inside giant={analysis.core_in_giant}",
             p_value=None,
         ),
     ]

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from hrg.analysis import (
+    analyze_graph,
     bfs_distances,
     band_diagnostics,
     check_core_clique,
     check_underpass,
     component_report,
     connected_components,
+    core_node_ids,
     degree_stats,
     exact_diameter,
     greedy_route,
@@ -148,6 +150,27 @@ class TestComponentReport:
         assert report.giant_diameter == 3
         assert report.max_component_diameter == 3
         assert report.second_size == 3
+
+    def test_grouping_against_oracles(self):
+        # C in [2, 4] thins the graphs to hundreds of components each, with
+        # giants on both sides of the all-pairs / iFUB split at 512 nodes
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            n = int(rng.integers(50, 3001))
+            params = ModelParams(n, 0.75, float(rng.uniform(2.0, 4.0)))
+            g = build_banded(sample_fixed(params, int(rng.integers(2**63))))
+            report = component_report(g)
+            labels = oracle_labels(g)
+            uniq, counts = np.unique(labels, return_counts=True)
+            diameters = {
+                int(label): oracle_diameter(g, np.nonzero(labels == label)[0])
+                for label in uniq
+            }
+            giant = int(uniq[np.lexsort((uniq, -counts))[0]])
+            assert report.sizes == sorted(counts.tolist(), reverse=True)
+            assert report.giant_label == giant
+            assert report.giant_diameter == diameters[giant]
+            assert report.max_component_diameter == max(diameters.values())
 
 
 class TestDegreeStats:
@@ -330,6 +353,29 @@ class TestGiantContainment:
         core = np.nonzero(ps.r <= ps.params.R / 2.0)[0]
         assert core.size > 0
         assert bool((report.labels[core] == report.giant_label).all())
+
+
+class TestAnalyzeGraph:
+    def test_fields_match_single_analyses(self):
+        g = build_banded(sample_fixed(ModelParams(10_000, 0.75, 0.0), 32))
+        params = g.pointset.params
+        result = analyze_graph(g, inner_c=1.0)
+        assert result.core_size == core_node_ids(g).size > 0
+        assert result.core_clique is True and result.core_in_giant is True
+        assert result.components.sizes == component_report(g).sizes
+        assert result.degrees.mean_degree == degree_stats(g).mean_degree
+        assert result.bands.max_empty_sector_run == max_empty_sector_run(g.pointset, params)
+        assert result.reach == inner_band_hops(g, params)
+
+    def test_core_outside_giant(self):
+        # an isolated core node next to a three-node path at the rim
+        params = ModelParams(4, 0.75, 0.0)
+        R = params.R
+        g = manual_graph(params, [0.1, R, R, R], [0.0, 2.0, 2.1, 2.2], [(1, 2), (2, 3)])
+        result = analyze_graph(g)
+        assert result.core_size == 1
+        assert result.core_clique is True
+        assert result.core_in_giant is False
 
 
 class TestGreedyRoute:

@@ -96,6 +96,25 @@ class TestGenerate:
         assert run_cli(["generate", "--n"]) == 2
         assert run_cli(["generate", "--n", "0", "--out-coords", "x", "--out-edges", "y"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "-1"],
+            ["--c-param", "-100"],
+            ["--c-param", "nan"],
+            ["--alpha", "inf"],
+            ["--alpha", "1000"],
+        ],
+        ids=["negative-seed", "negative-radius", "nan-c", "infinite-alpha", "alpha-r-overflow"],
+    )
+    def test_bad_model_input_is_usage_error(self, tmp_path, capsys, flags):
+        coords = tmp_path / "c.tsv"
+        argv = ["generate", "--n", "10", *flags, "--out-coords", str(coords),
+                "--out-edges", str(tmp_path / "e.tsv")]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("hrg generate: ")
+        assert not coords.exists()
+
 
 def write_fixture(tmp_path, params, radii, angles, edge_rows, seed=0):
     from hrg.sampling import MODE_FIXED, PointSet
@@ -168,6 +187,46 @@ class TestAnalyze:
         from_files = json.loads(report_path.read_text())
         in_memory = json.loads(json.dumps(build_report(g)))
         assert from_files == in_memory
+
+    def test_single_node_file(self, tmp_path, capsys):
+        # n = 1, C = 0 gives R = 0, where the inner band covers the disc
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        argv = ["generate", "--n", "1", "--out-coords", str(coords), "--out-edges", str(edges)]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["bands"]["inner_count"] == 1
+        assert report["checks"] == {"core_size": 1, "core_clique": True, "core_in_giant": True}
+
+    def test_nonpositive_alpha_header_is_data_error(self, tmp_path, capsys):
+        coords, edges = write_fixture(tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
+        text = coords.read_text().replace("alpha=0.75", "alpha=-0.5", 1)
+        coords.write_text(text)
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        err = capsys.readouterr().err
+        assert "line 1" in err and "alpha" in err
+
+    def test_alpha_at_least_one_is_usage_error(self, tmp_path, capsys):
+        coords, edges = write_fixture(tmp_path, ModelParams(3, 1.5, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 2
+        assert "alpha=1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [(1, "nan"), (1, "99"), (2, "inf"), (2, "-0.5")])
+    def test_bad_coordinate_names_its_line(self, tmp_path, capsys, column, value):
+        coords, edges = write_fixture(
+            tmp_path, ModelParams(5, 0.75, 0.0), [0.1] * 5, [0.0, 1.0, 2.0, 3.0, 4.0], []
+        )
+        lines = coords.read_text().splitlines()
+        row = lines[4].split("\t")  # point 3, on line 5
+        row[column] = value
+        lines[4] = "\t".join(row)
+        coords.write_text("\n".join(lines) + "\n")
+        with open(coords) as fh, pytest.raises(DataFormatError) as err:
+            read_coords(fh)
+        assert err.value.line_number == 5
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        assert "line 5" in capsys.readouterr().err
 
     def test_file_round_trip_graph_identity(self, tmp_path):
         ps = sample_fixed(ModelParams(2000, 0.75, 0.0), 6)
@@ -270,6 +329,26 @@ class TestSweep:
         assert run_cli(["sweep", "--config", str(config)]) == 2
         config = self.make_config(tmp_path, bogus_key=1)
         assert run_cli(["sweep", "--config", str(config)]) == 2
+
+    def test_removed_toggle_keys_rejected(self, tmp_path):
+        for key in ("run_diameter", "run_degrees", "run_sectors", "run_inner_hops"):
+            config = self.make_config(tmp_path, **{key: True})
+            assert run_cli(["sweep", "--config", str(config)]) == 2
+
+    def test_sweep_row_and_report_agree(self):
+        [record] = run_sweep(SweepConfig(n_values=(4096,), alpha=0.75, C=0.0, seeds=1))
+        g = build_banded(sample_fixed(ModelParams(4096, 0.75, 0.0), record.seed))
+        report = build_report(g, inner_c=1.0)
+        comps, checks = report["components"], report["checks"]
+        assert record.giant_size == comps["giant_size"]
+        assert record.second_size == comps["second_size"]
+        assert record.giant_diameter == comps["giant_diameter"]
+        assert record.mean_degree == report["graph"]["mean_degree"]
+        assert record.max_empty_run == report["bands"]["max_empty_sector_run"]
+        assert record.core_clique is checks["core_clique"] is True
+        assert record.core_in_giant is checks["core_in_giant"]
+        assert record.core_size == checks["core_size"] > 0
+        assert type(checks["core_size"]) is int and type(checks["core_in_giant"]) is bool
 
     def test_jobs_env_fallback(self, monkeypatch):
         monkeypatch.setenv("HRG_JOBS", "3")

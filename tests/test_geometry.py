@@ -39,6 +39,19 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(10, -1.0, 0.0)
 
+    def test_rejects_non_finite_and_out_of_range(self):
+        for alpha, c in [
+            (math.inf, 0.0),
+            (math.nan, 0.0),
+            (0.75, math.nan),
+            (0.75, -math.inf),
+            (0.75, -100.0),  # R < 0
+            (1000.0, 0.0),  # alpha * R >= 700
+        ]:
+            with pytest.raises(ValueError):
+                ModelParams(10, alpha, c)
+        assert ModelParams(1, 0.75, 0.0).R == 0.0
+
     def test_regime_flag_without_refusal(self):
         assert ModelParams(10, 0.75, 0.0).in_supported_regime
         assert not ModelParams(10, 0.3, 0.0).in_supported_regime
