@@ -10,7 +10,6 @@ functions take an immutable :class:`~hrg.graphgen.Graph` or
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +47,6 @@ __all__ = [
     "greedy_route",
     "analyze_graph",
 ]
-
-# Components no larger than this get their diameter from all-pairs BFS;
-# larger ones go through iFUB.
-_SMALL_COMPONENT = 512
 
 
 def bfs_distances(g: Graph, sources) -> np.ndarray:
@@ -91,63 +86,62 @@ def connected_components(g: Graph) -> np.ndarray:
     return first[raw]
 
 
-def _apsp_diameter(g: Graph, nodes: np.ndarray) -> int:
-    """Exact diameter of a small connected component by BFS from every
-    node; kept independent of the iFUB path so either can check the
-    other."""
-    node_list = [int(v) for v in nodes]
-    best = 0
-    for s in node_list:
-        dist = {s: 0}
-        queue = deque([s])
-        far = 0
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for v in g.neighbors(u):
-                v = int(v)
-                if v not in dist:
-                    dist[v] = du
-                    far = max(far, du)
-                    queue.append(v)
-        if len(dist) != len(node_list):
-            raise ValueError("component is not connected")
-        best = max(best, far)
-    return best
+def _component_diameters(g: Graph, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Exact hop diameters of node groups, by one iFUB (Crescenzi et al.,
+    TCS 2013) run on all groups at once.
+
+    ``members`` lists the groups one after another, each in ascending node
+    id order, and ``counts`` holds their sizes (two or more). Distinct groups
+    must lie in distinct components: one multi-source BFS with one source
+    per group then gives every group its own single-source distances, and
+    a max-reduce over each group turns them into eccentricities.
+
+    Each group roots at its highest-degree node (smallest id on ties),
+    starts its lower bound with a double sweep from the root's farthest
+    node, and then takes the other nodes by decreasing root distance. It
+    stops once the lower bound reaches twice the root distance of its next
+    node: every pair left has both ends that close to the root. A group
+    whose root does not reach all of it raises ``ValueError``.
+    """
+    starts = np.cumsum(counts) - counts
+    group = np.repeat(np.arange(counts.size), counts)
+
+    def distances(sources):
+        return bfs_distances(g, sources)[members]
+
+    def eccentricities(sources):
+        return np.maximum.reduceat(distances(sources), starts)
+
+    deg = g.degrees[members]
+    top = deg == np.repeat(np.maximum.reduceat(deg, starts), counts)
+    roots = np.minimum.reduceat(np.where(top, np.arange(members.size), members.size), starts)
+    level = distances(members[roots])
+    if np.any(level < 0):
+        raise ValueError("component is not connected")
+    # each group's nodes by decreasing root distance, ties by id; the first
+    # is the far end of the double sweep, the last the root
+    order = np.lexsort((-level, group))
+    fringe, fringe_level = members[order], level[order]
+    lower = eccentricities(fringe[starts])
+    nxt = starts + 1
+    while True:
+        open_ = lower < 2 * fringe_level[nxt]
+        if not open_.any():
+            return lower
+        ecc = eccentricities(fringe[nxt[open_]])
+        lower[open_] = np.maximum(lower[open_], ecc[open_])
+        nxt[open_] += 1
 
 
 def exact_diameter(g: Graph, component) -> int:
-    """Exact hop diameter of a connected component via iFUB.
-
-    Strategy: BFS layering from the highest-degree node of the component,
-    a double sweep for the initial lower bound, then eccentricity
-    refutation level by level from the top. The result equals the maximum
-    over all single-source BFS eccentricities; disconnected input raises.
-    """
+    """Exact hop diameter of a connected component via iFUB; node order and
+    duplicates are ignored, and empty or disconnected input raises."""
     comp = np.unique(np.asarray(component, dtype=np.int64))
     if comp.size == 0:
         raise ValueError("empty component")
     if comp.size == 1:
         return 0
-    start = int(comp[np.argmax(g.degrees[comp])])
-    d_root = bfs_distances(g, start)
-    if np.any(d_root[comp] < 0):
-        raise ValueError("component is not connected")
-    ecc_root = int(d_root[comp].max())
-    far = int(comp[d_root[comp] == ecc_root][0])
-    d_far = bfs_distances(g, far)
-    lower = int(d_far[comp].max())
-    level = ecc_root
-    upper = 2 * ecc_root
-    while lower < upper and level > 0:
-        for v in comp[d_root[comp] == level]:
-            ecc = int(bfs_distances(g, int(v))[comp].max())
-            lower = max(lower, ecc)
-        if lower > 2 * (level - 1):
-            return lower
-        upper = 2 * (level - 1)
-        level -= 1
-    return lower
+    return int(_component_diameters(g, comp, np.array([comp.size]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,28 +161,24 @@ class ComponentReport:
         return np.nonzero(self.labels == label)[0]
 
 
-def component_report(g: Graph, with_diameters: bool = True) -> ComponentReport:
+def component_report(g: Graph) -> ComponentReport:
     labels = connected_components(g)
     if g.n == 0:
         return ComponentReport(labels, [], -1, 0, 0, 0, 0)
     members = np.argsort(labels, kind="stable")
-    uniq, starts, counts = np.unique(labels[members], return_index=True, return_counts=True)
+    uniq, counts = np.unique(labels[members], return_counts=True)
+    multi = counts > 1
+    diameters = np.zeros(uniq.size, dtype=np.int64)
+    diameters[multi] = _component_diameters(g, members[np.repeat(multi, counts)], counts[multi])
     order = np.lexsort((uniq, -counts))
-    uniq, starts, counts = uniq[order], starts[order], counts[order]
-    # counts are descending, so the components of two or more nodes come first
-    diameters = []
-    if with_diameters:
-        for start, size in zip(starts, counts[counts > 1]):
-            diameter = exact_diameter if size > _SMALL_COMPONENT else _apsp_diameter
-            diameters.append(diameter(g, members[start : start + size]))
     return ComponentReport(
         labels=labels,
-        sizes=counts.tolist(),
-        giant_label=int(uniq[0]),
-        giant_size=int(counts[0]),
-        second_size=int(counts[1]) if counts.size > 1 else 0,
-        giant_diameter=diameters[0] if diameters else 0,
-        max_component_diameter=max(diameters, default=0),
+        sizes=counts[order].tolist(),
+        giant_label=int(uniq[order[0]]),
+        giant_size=int(counts[order[0]]),
+        second_size=int(counts[order[1]]) if counts.size > 1 else 0,
+        giant_diameter=int(diameters[order[0]]),
+        max_component_diameter=int(diameters.max()),
     )
 
 

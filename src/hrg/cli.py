@@ -44,9 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run a sweep from a JSON config")
     swp.add_argument("--config", required=True, help="JSON sweep config path")
-    swp.add_argument(
-        "--jobs", type=int, default=None, help="parallel cells (default: HRG_JOBS or 1)"
-    )
+    swp.add_argument("--jobs", type=int, help="parallel cells (overrides the config's jobs)")
     swp.add_argument("--out", help="CSV output path (overrides config out_csv)")
 
     ver = sub.add_parser("verify", help="run the self-check suite")
@@ -105,24 +103,17 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     import dataclasses
-    import os
 
-    from .experiments import SweepConfig, default_jobs, run_sweep, write_sweep_csv
+    from .experiments import SweepConfig, run_sweep, write_sweep_csv
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = SweepConfig.from_json(fh)
+        if args.jobs is not None:
+            config = dataclasses.replace(config, jobs=args.jobs)
     except (ValueError, TypeError, KeyError) as exc:
         print(f"hrg sweep: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # precedence: --jobs flag, then HRG_JOBS, then the config value
-    if args.jobs is not None:
-        jobs = args.jobs
-    elif os.environ.get("HRG_JOBS", "").strip():
-        jobs = default_jobs()
-    else:
-        jobs = config.jobs
-    config = dataclasses.replace(config, jobs=max(1, jobs))
     records = run_sweep(config)
     out_path = args.out or config.out_csv
     if out_path:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -74,6 +73,8 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         # validates alpha > 0 and n >= 1 the same way a cell would
         ModelParams(values[0], self.alpha, self.C)
+        if not self.alpha < 1.0:
+            raise ValueError(f"need alpha < 1 for the inner band, got alpha={self.alpha!r}")
         object.__setattr__(self, "n_values", values)
 
     @classmethod
@@ -189,14 +190,3 @@ def write_sweep_csv(records: list[SweepRecord], stream: TextIO) -> None:
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for record in records:
         stream.write(record.csv_row() + "\n")
-
-
-def default_jobs() -> int:
-    """--jobs fallback: the HRG_JOBS environment variable, else 1."""
-    raw = os.environ.get("HRG_JOBS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1

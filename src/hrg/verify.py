@@ -10,13 +10,13 @@ agreement) report p-values or margins and only fail below the 0.1% level.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .analysis import (
-    _apsp_diameter,
     analyze_graph,
     check_core_clique,
     check_underpass,
@@ -194,17 +194,39 @@ def _check_builder_equivalence(rng, sizes) -> CheckResult:
     )
 
 
+def _apsp_diameter(g: Graph, nodes: np.ndarray) -> int:
+    """Exact diameter of a connected component by a plain BFS from every
+    node; independent of the library's iFUB, so each checks the other."""
+    node_list = [int(v) for v in nodes]
+    best = 0
+    for s in node_list:
+        dist = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.neighbors(u):
+                v = int(v)
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if len(dist) != len(node_list):
+            raise ValueError("component is not connected")
+        best = max(best, max(dist.values()))
+    return best
+
+
 def _check_diameter_oracle(rng, count: int) -> CheckResult:
     bad = 0
     for _ in range(count):
         n = int(rng.integers(10, 200))
         ps = sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63)))
         g = build_banded(ps)
-        comps = component_report(g, with_diameters=False)
+        comps = component_report(g)
         nodes = comps.nodes_of(comps.giant_label)
         if nodes.size < 2:
             continue
-        if exact_diameter(g, nodes) != _apsp_diameter(g, nodes):
+        oracle = _apsp_diameter(g, nodes)
+        if exact_diameter(g, nodes) != oracle or comps.giant_diameter != oracle:
             bad += 1
     return _det(
         "graphs/diameter-equals-apsp",

@@ -285,7 +285,7 @@ def test_criterion_10_oracle_equivalences():
         n = int(rng.integers(10, 301))
         ps = sample_fixed(ModelParams(n, ALPHA, C_PARAM), int(rng.integers(2**63)))
         g = build_banded(ps)
-        comps = component_report(g, with_diameters=False)
+        comps = component_report(g)
         nodes = comps.nodes_of(comps.giant_label)
         if nodes.size < 2:
             continue

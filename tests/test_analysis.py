@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from hrg import analysis
 from hrg.analysis import (
     analyze_graph,
     bfs_distances,
@@ -35,6 +36,29 @@ def manual_graph(params, radii, angles, edge_pairs):
     ps = PointSet(params, np.asarray(radii, float), np.asarray(angles, float), MODE_FIXED, 0)
     pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     return Graph.from_edge_array(ps, pairs[:, 0], pairs[:, 1])
+
+
+# (nodes, diameter) of the components of ``disjoint_union_graph``: a 7-node
+# path whose highest-degree root (node 1) is off-centre, a star, a 9-cycle,
+# a 4-clique and a lone edge
+UNION_COMPONENTS = [
+    (list(range(0, 7)), 6),
+    (list(range(7, 12)), 2),
+    (list(range(12, 21)), 4),
+    (list(range(21, 25)), 1),
+    ([25, 26], 1),
+]
+
+
+def disjoint_union_graph():
+    path = [(v, v + 1) for v in range(6)]
+    star = [(7, leaf) for leaf in range(8, 12)]
+    cycle = [(12 + k, 12 + (k + 1) % 9) for k in range(9)]
+    clique = [(a, b) for a in range(21, 25) for b in range(a + 1, 25)]
+    angles = np.linspace(0.0, 6.0, 27)
+    return manual_graph(
+        ModelParams(27, 0.75, 0.0), [0.1] * 27, angles, path + star + cycle + clique + [(25, 26)]
+    )
 
 
 def oracle_labels(g):
@@ -109,6 +133,12 @@ class TestExactDiameter:
         with pytest.raises(ValueError):
             exact_diameter(g, [0, 1, 2])
 
+    def test_order_and_duplicates_ignored(self):
+        g = disjoint_union_graph()
+        assert exact_diameter(g, [6, 0, 3, 3, 1, 5, 2, 4, 6]) == 6
+        assert exact_diameter(g, [26, 25, 26]) == 1
+        assert exact_diameter(g, [9, 9]) == 0
+
     def test_against_apsp_oracle(self):
         rng = np.random.default_rng(21)
         checked = 0
@@ -116,7 +146,7 @@ class TestExactDiameter:
             n = int(rng.integers(10, 301))
             ps = sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63)))
             g = build_banded(ps)
-            report = component_report(g, with_diameters=False)
+            report = component_report(g)
             nodes = report.nodes_of(report.giant_label)
             if nodes.size < 2:
                 continue
@@ -151,9 +181,35 @@ class TestComponentReport:
         assert report.max_component_diameter == 3
         assert report.second_size == 3
 
+    def test_batched_components_stop_independently(self, monkeypatch):
+        g = disjoint_union_graph()
+        rounds = []
+        bfs = analysis.bfs_distances
+
+        def counted(graph, sources):
+            rounds.append(np.atleast_1d(sources).size)
+            return bfs(graph, sources)
+
+        monkeypatch.setattr(analysis, "bfs_distances", counted)
+        per_component = []
+        for nodes, diameter in UNION_COMPONENTS:
+            rounds.clear()
+            assert exact_diameter(g, nodes) == diameter == oracle_diameter(g, nodes)
+            per_component.append(len(rounds))
+        # root BFS, double sweep, then one fringe node per round until the stop
+        assert per_component == [3, 2, 5, 4, 2]
+        rounds.clear()
+        report = component_report(g)
+        assert report.sizes == [9, 7, 5, 4, 2]
+        assert report.giant_diameter == 4
+        assert report.max_component_diameter == 6
+        # one BFS per round for all components, each source set shrinking as
+        # components stop
+        assert rounds == [5, 5, 3, 2, 1]
+
     def test_grouping_against_oracles(self):
-        # C in [2, 4] thins the graphs to hundreds of components each, with
-        # giants on both sides of the all-pairs / iFUB split at 512 nodes
+        # C in [2, 4] thins the graphs to hundreds of components each, from
+        # lone edges up to giants of over a thousand nodes
         rng = np.random.default_rng(37)
         for _ in range(20):
             n = int(rng.integers(50, 3001))
@@ -349,7 +405,7 @@ class TestGiantContainment:
     def test_core_nodes_carry_giant_label(self):
         ps = sample_fixed(ModelParams(10_000, 0.75, 0.0), 32)
         g = build_banded(ps)
-        report = component_report(g, with_diameters=False)
+        report = component_report(g)
         core = np.nonzero(ps.r <= ps.params.R / 2.0)[0]
         assert core.size > 0
         assert bool((report.labels[core] == report.giant_label).all())
@@ -393,7 +449,7 @@ class TestGreedyRoute:
 
     def test_success_rate_and_hop_lower_bound(self):
         g = build_banded(sample_fixed(ModelParams(10_000, 0.75, 0.0), 35))
-        report = component_report(g, with_diameters=False)
+        report = component_report(g)
         giant = report.nodes_of(report.giant_label)
         rng = np.random.default_rng(36)
         successes = 0

@@ -10,7 +10,6 @@ from hrg.cli import main
 from hrg.experiments import (
     CSV_COLUMNS,
     SweepConfig,
-    default_jobs,
     run_sweep,
     write_sweep_csv,
 )
@@ -313,11 +312,12 @@ class TestSweep:
         large = np.mean([r.m for r in records if r.n == 8192])
         assert abs(large / small - 2.0) <= 0.15 * 2.0
 
-    def test_failed_cell_marks_row_and_exit(self, tmp_path, capsys):
-        # alpha outside (0, 1) breaks the inner-band analyses per cell
-        config = self.make_config(
-            tmp_path, n_values=[64, 128], alpha=1.5, seeds=1
-        )
+    def test_failed_cell_marks_row_and_exit(self, tmp_path, capsys, monkeypatch):
+        def broken_builder(ps):
+            raise RuntimeError("builder fault")
+
+        monkeypatch.setattr("hrg.experiments.build_banded", broken_builder)
+        config = self.make_config(tmp_path, n_values=[64, 128], seeds=1, jobs=1)
         assert run_cli(["sweep", "--config", str(config)]) == 1
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
@@ -328,6 +328,8 @@ class TestSweep:
         config = self.make_config(tmp_path, n_values=[2048, 1024])
         assert run_cli(["sweep", "--config", str(config)]) == 2
         config = self.make_config(tmp_path, bogus_key=1)
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        config = self.make_config(tmp_path, alpha=1.5)
         assert run_cli(["sweep", "--config", str(config)]) == 2
 
     def test_removed_toggle_keys_rejected(self, tmp_path):
@@ -350,13 +352,15 @@ class TestSweep:
         assert record.core_size == checks["core_size"] > 0
         assert type(checks["core_size"]) is int and type(checks["core_in_giant"]) is bool
 
-    def test_jobs_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("HRG_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("HRG_JOBS", "junk")
-        assert default_jobs() == 1
-        monkeypatch.delenv("HRG_JOBS")
-        assert default_jobs() == 1
+    def test_jobs_flag_replaces_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("hrg.experiments.run_sweep", lambda cfg: seen.append(cfg.jobs) or [])
+        config = self.make_config(tmp_path, jobs=3)
+        assert run_cli(["sweep", "--config", str(config)]) == 0
+        assert run_cli(["sweep", "--config", str(config), "--jobs", "2"]) == 0
+        assert seen == [3, 2]
+        assert run_cli(["sweep", "--config", str(config), "--jobs", "0"]) == 2
+        assert seen == [3, 2]
 
     def test_csv_written_via_api(self, tmp_path):
         import io
