@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from ._util import concatenated_ranges
-from .geometry import ModelParams, PolarPoint, angle_gaps, pair_distances
+from .geometry import TWO_PI, ModelParams, angle_gaps, pair_distances
 from .graphgen import Graph, layer_of_radius
 from .sampling import PointSet
 
@@ -34,10 +34,7 @@ __all__ = [
     "component_report",
     "exact_diameter",
     "degree_stats",
-    "layer_index",
     "inner_band_radius",
-    "inner_band",
-    "is_between",
     "max_empty_sector_run",
     "band_diagnostics",
     "check_underpass",
@@ -225,11 +222,6 @@ def degree_stats(g: Graph, tail_floor: int = 10, min_tail: int = 50) -> DegreeSt
     )
 
 
-def layer_index(p: PolarPoint, params: ModelParams) -> int:
-    """Layer of a point: layer i holds radii in (R-i, R-i+1]."""
-    return int(layer_of_radius(p.r, params.R))
-
-
 def inner_band_radius(params: ModelParams, c: float = 1.0) -> float:
     """Boundary radius of the inner band, R - ln(R)/(1-alpha) - c; at R = 0
     (n = 1, C = 0) its limit, +inf."""
@@ -238,11 +230,6 @@ def inner_band_radius(params: ModelParams, c: float = 1.0) -> float:
     if params.R == 0.0:
         return math.inf
     return params.R - math.log(params.R) / (1.0 - params.alpha) - c
-
-
-def inner_band(p: PolarPoint, params: ModelParams, c: float = 1.0) -> bool:
-    """True iff the point lies in the inner band."""
-    return p.r <= inner_band_radius(params, c)
 
 
 def core_node_ids(g: Graph) -> np.ndarray:
@@ -313,16 +300,6 @@ def band_diagnostics(ps: PointSet, params: ModelParams, c: float = 1.0) -> BandD
     )
 
 
-def _gap(u: PolarPoint, v: PolarPoint) -> float:
-    return float(angle_gaps(u.phi, v.phi))
-
-
-def is_between(u: PolarPoint, v: PolarPoint, w: PolarPoint, tol: float = 1e-9) -> bool:
-    """True iff v lies angularly between u and w: the small angles satisfy
-    gap(u,v) + gap(v,w) = gap(u,w) within ``tol``."""
-    return abs(_gap(u, v) + _gap(v, w) - _gap(u, w)) <= tol
-
-
 @dataclass(frozen=True)
 class UnderpassResult:
     violations: int
@@ -330,58 +307,62 @@ class UnderpassResult:
     attempts: int
 
 
-def check_underpass(g: Graph, trials: int, seed: int = 0, tol: float = 1e-9) -> UnderpassResult:
+# Rounding slack of the betweenness test gap(u,v) + gap(v,w) = gap(u,w).
+BETWEEN_TOL = 1e-9
+
+
+def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     """Sample edge/between-node triples and verify the forced edges.
 
     For a sampled edge {u, w} and a node v angularly between them: if v's
     radius is at most both endpoint radii, v must be adjacent to both; if
-    it is at most r_u but at least r_w, v must be adjacent to w. The count
-    of violations is returned and must be zero, as the property is plain
-    geometry, not a random event.
+    it is at most r_u but above r_w, v must be adjacent to w, and
+    symmetrically. Together: v must be adjacent to u when r_v <= r_w and
+    to w when r_v <= r_u. The count of violations is returned and must be
+    zero, as the property is plain geometry, not a random event.
+
+    Triples are drawn in blocks: each round samples one edge per missing
+    triple, picks one node uniformly from the nodes on the edge's minor arc
+    (endpoints included), and rejects a zero-width arc, a pick of u or w,
+    and a pick that fails the betweenness test. A round never draws more
+    edges than triples are missing, so ``tested`` stops at ``trials``
+    exactly; the rounds stop early once ``100 * trials + 1000`` edges have
+    been drawn. ``attempts`` counts the edges drawn.
     """
     if g.m == 0 or g.n < 3:
         return UnderpassResult(0, 0, 0)
-    ps = g.pointset
-    phi, r = ps.phi, ps.r
+    n, phi, r = g.n, g.pointset.phi, g.pointset.r
     order = np.argsort(phi, kind="stable")
-    sorted_phi = phi[order]
-    doubled_vals = np.concatenate((sorted_phi, sorted_phi + 2.0 * math.pi))
+    doubled_vals = np.concatenate((phi[order], phi[order] + TWO_PI))
     doubled_ids = np.concatenate((order, order))
+    keys = g.edges[:, 0] * n + g.edges[:, 1]  # sorted, as the rows are canonical
+
+    def adjacent(a, b):
+        query = np.minimum(a, b) * n + np.maximum(a, b)
+        return keys[np.minimum(np.searchsorted(keys, query), g.m - 1)] == query
+
     rng = np.random.default_rng(seed)
-    violations = 0
-    tested = 0
-    attempts = 0
+    violations = tested = attempts = 0
     max_attempts = 100 * trials + 1000
     while tested < trials and attempts < max_attempts:
-        attempts += 1
-        u, w = (int(x) for x in g.edges[rng.integers(g.m)])
-        fwd = (phi[w] - phi[u]) % (2.0 * math.pi)
-        if fwd <= math.pi:
-            arc_lo, width = phi[u], fwd
-        else:
-            arc_lo, width = phi[w], 2.0 * math.pi - fwd
-        if width == 0.0:
-            continue
-        lo = int(np.searchsorted(doubled_vals, arc_lo, side="left"))
-        hi = int(np.searchsorted(doubled_vals, arc_lo + width, side="right"))
-        cands = doubled_ids[lo:hi]
-        cands = cands[(cands != u) & (cands != w)]
-        if cands.size == 0:
-            continue
-        v = int(cands[rng.integers(cands.size)])
-        pu, pv, pw = ps.point(u), ps.point(v), ps.point(w)
-        if abs(_gap(pu, pv) + _gap(pv, pw) - _gap(pu, pw)) > tol:
-            continue
-        tested += 1
-        if r[v] <= r[u] and r[v] <= r[w]:
-            if not (g.has_edge(v, u) and g.has_edge(v, w)):
-                violations += 1
-        elif r[v] <= r[u] and r[v] >= r[w]:
-            if not g.has_edge(v, w):
-                violations += 1
-        elif r[v] <= r[w] and r[v] >= r[u]:
-            if not g.has_edge(v, u):
-                violations += 1
+        k = min(trials - tested, max_attempts - attempts)
+        attempts += k
+        u, w = g.edges[rng.integers(g.m, size=k)].T
+        fwd = (phi[w] - phi[u]) % TWO_PI
+        minor = fwd <= math.pi
+        arc_lo = np.where(minor, phi[u], phi[w])
+        width = np.where(minor, fwd, TWO_PI - fwd)
+        lo = np.searchsorted(doubled_vals, arc_lo, side="left")
+        hi = np.searchsorted(doubled_vals, arc_lo + width, side="right")
+        v = doubled_ids[rng.integers(lo, np.maximum(hi, lo + 1))]
+        keep = (width > 0.0) & (hi > lo) & (v != u) & (v != w)
+        pu, pv, pw = phi[u], phi[v], phi[w]
+        excess = angle_gaps(pu, pv) + angle_gaps(pv, pw) - angle_gaps(pu, pw)
+        keep &= np.abs(excess) <= BETWEEN_TOL
+        u, v, w = u[keep], v[keep], w[keep]
+        bad = ((r[v] <= r[w]) & ~adjacent(v, u)) | ((r[v] <= r[u]) & ~adjacent(v, w))
+        tested += int(u.size)
+        violations += int(np.count_nonzero(bad))
     return UnderpassResult(violations=violations, tested=tested, attempts=attempts)
 
 

@@ -9,6 +9,7 @@ Subcommands: ``generate`` (coordinates + edges for one seed), ``analyze``
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 EXIT_OK = 0
@@ -84,6 +85,9 @@ def _cmd_analyze(args) -> int:
     from .files import build_report, dump_report, read_coords, read_edges
     from .graphgen import Graph
 
+    if not math.isfinite(args.inner_c):
+        print(f"hrg analyze: --inner-c must be finite, got {args.inner_c!r}", file=sys.stderr)
+        return EXIT_USAGE
     with open(args.coords, "r", encoding="utf-8") as fh:
         ps = read_coords(fh)
     if not ps.params.alpha < 1.0:
@@ -132,6 +136,9 @@ def _cmd_verify(args) -> int:
 
     if bool(args.coords) != bool(args.edges):
         print("hrg verify: --coords and --edges must be given together", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed is not None and args.seed < 0:
+        print(f"hrg verify: seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     results, code = run_verify(
         quick=args.quick, seed=args.seed, coords=args.coords, edges=args.edges

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -41,6 +42,13 @@ CSV_COLUMNS = [
 ]
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; floats and bools are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: the n values, model constants, seeds per n, and underpass trials.
@@ -60,17 +68,21 @@ class SweepConfig:
     underpass_trials: int = 0
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.n_values)
+        values = tuple(_integer("n_values entry", v) for v in self.n_values)
         if not values:
             raise ValueError("n_values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("n_values must be strictly increasing")
-        if self.seeds < 1:
+        if _integer("seeds", self.seeds) < 1:
             raise ValueError("seeds must be >= 1")
         if self.mode not in (MODE_FIXED, MODE_POISSON):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.jobs < 1:
+        if _integer("jobs", self.jobs) < 1:
             raise ValueError("jobs must be >= 1")
+        if _integer("underpass_trials", self.underpass_trials) < 0:
+            raise ValueError("underpass_trials must be >= 0")
+        if not math.isfinite(self.inner_c):
+            raise ValueError(f"inner_c must be finite, got {self.inner_c!r}")
         # validates alpha > 0 and n >= 1 the same way a cell would
         ModelParams(values[0], self.alpha, self.C)
         if not self.alpha < 1.0:

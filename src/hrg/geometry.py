@@ -3,9 +3,9 @@
 Distances, connection thresholds, the radial sampling density, and area
 measures for the threshold graph model on a disc of radius R. A point is
 (r, phi) with r the true hyperbolic distance to the disc origin and phi an
-angle in [0, 2*pi). Functions accept scalars or numpy arrays and broadcast
-elementwise unless stated otherwise; all of them are pure and safe to call
-from multiple threads.
+angle in [0, 2*pi). There is no point object: functions take the coordinates
+as scalars or numpy arrays and broadcast elementwise unless stated
+otherwise; all of them are pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "TWO_PI",
     "ModelParams",
-    "PolarPoint",
     "MonteCarloEstimate",
-    "delta_phi",
     "angle_gaps",
-    "hyperbolic_distance",
     "pair_distances",
-    "edge_indicator",
     "edge_mask",
     "theta_exact",
     "theta_approx",
@@ -94,23 +90,6 @@ class ModelParams:
         return cls(n=n, alpha=alpha, C=C)
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point (r, phi) of the disc; the angle is normalized to [0, 2*pi)."""
-
-    r: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not self.r >= 0.0:
-            raise ValueError(f"radius must be non-negative, got {self.r}")
-        phi = float(self.phi) % TWO_PI
-        if phi >= TWO_PI:  # modulo of a tiny negative can round up to 2*pi
-            phi = 0.0
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "r", float(self.r))
-
-
 def _ret(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
 
@@ -118,11 +97,6 @@ def _ret(x: np.ndarray) -> float | np.ndarray:
 def angle_gaps(phi_a, phi_b):
     """Small relative angle between directions, elementwise, in [0, pi]."""
     return _ret(np.arccos(np.cos(np.asarray(phi_a, dtype=float) - phi_b)))
-
-
-def delta_phi(u: PolarPoint, v: PolarPoint) -> float:
-    """Small relative angle between two points, in [0, pi]."""
-    return float(np.arccos(np.cos(u.phi - v.phi)))
 
 
 def _cosh_distance(r_a, phi_a, r_b, phi_b):
@@ -142,33 +116,17 @@ def _cosh_distance(r_a, phi_a, r_b, phi_b):
 
 
 def pair_distances(r_a, phi_a, r_b, phi_b):
-    """Hyperbolic distances for parallel coordinate arrays."""
+    """Hyperbolic distances for parallel coordinate arrays. The inverse-cosh
+    argument is clamped to >= 1 to absorb rounding for near-coincident points."""
     arg = np.maximum(_cosh_distance(r_a, phi_a, r_b, phi_b), 1.0)
     return _ret(np.arccosh(arg))
 
 
-def hyperbolic_distance(u: PolarPoint, v: PolarPoint) -> float:
-    """Hyperbolic distance between two points.
-
-    The inverse-cosh argument is clamped to >= 1 to absorb rounding for
-    near-coincident points.
-    """
-    return float(pair_distances(u.r, u.phi, v.r, v.phi))
-
-
 def edge_mask(r_a, phi_a, r_b, phi_b, R):
     """Boolean connection test for coordinate arrays: distance <= R, with
-    ties at exactly R counting as connected."""
+    ties at exactly R counting as connected. It compares on the cosh scale,
+    since inverting the cosh near the threshold is ill-conditioned."""
     return _cosh_distance(r_a, phi_a, r_b, phi_b) <= np.cosh(R)
-
-
-def edge_indicator(u: PolarPoint, v: PolarPoint, R: float) -> bool:
-    """True iff u and v are adjacent in the threshold graph of radius R.
-
-    Works on the cosh scale; inverting the cosh near the threshold is
-    ill-conditioned, comparing on the cosh scale is not.
-    """
-    return bool(edge_mask(u.r, u.phi, v.r, v.phi, R))
 
 
 def theta_exact(r, y, R):

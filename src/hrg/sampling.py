@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TWO_PI, ModelParams, PolarPoint
+from .geometry import TWO_PI, ModelParams
 
 MODE_FIXED = "fixed"
 MODE_POISSON = "poisson"
@@ -48,9 +48,9 @@ def radial_icdf(u, params: ModelParams):
 class PointSet:
     """Sampled points with provenance.
 
-    Radii and angles are parallel read-only arrays; ``point(i)`` and the
-    ``points`` property materialize :class:`PolarPoint` views on demand.
-    Instances are immutable and safe to share across threads.
+    Radii and angles are parallel read-only arrays; point i is
+    ``(r[i], phi[i])``. Instances are immutable and safe to share across
+    threads.
     """
 
     params: ModelParams
@@ -83,13 +83,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return self.r.size
-
-    def point(self, i: int) -> PolarPoint:
-        return PolarPoint(float(self.r[i]), float(self.phi[i]))
-
-    @property
-    def points(self) -> list[PolarPoint]:
-        return [self.point(i) for i in range(len(self))]
 
 
 def _draw_points(params: ModelParams, count: int, rng: np.random.Generator):

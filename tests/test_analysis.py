@@ -9,6 +9,7 @@ import pytest
 
 from hrg import analysis
 from hrg.analysis import (
+    UnderpassResult,
     analyze_graph,
     bfs_distances,
     band_diagnostics,
@@ -20,16 +21,13 @@ from hrg.analysis import (
     degree_stats,
     exact_diameter,
     greedy_route,
-    inner_band,
     inner_band_hops,
     inner_band_radius,
-    is_between,
-    layer_index,
     max_empty_sector_run,
 )
-from hrg.geometry import ModelParams, PolarPoint
-from hrg.graphgen import Graph, build_banded
-from hrg.sampling import MODE_FIXED, PointSet, sample_fixed
+from hrg.geometry import ModelParams
+from hrg.graphgen import Graph, build_banded, layer_of_radius
+from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
 
 
 def manual_graph(params, radii, angles, edge_pairs):
@@ -261,15 +259,15 @@ class TestLayersAndBands:
     def test_layer_boundaries(self):
         params = ModelParams(100, 0.75, 0.0)
         R = params.R
-        assert layer_index(PolarPoint(R, 0.0), params) == 1
-        assert layer_index(PolarPoint(R - 1.0, 0.0), params) == 2
+        assert layer_of_radius(R, R) == 1
+        assert layer_of_radius(R - 1.0, R) == 2
 
     def test_inner_band_example(self):
         params = ModelParams.from_radius(20.0, 0.75)
         bound = inner_band_radius(params, c=1.0)
         assert bound == pytest.approx(20.0 - math.log(20.0) / 0.25 - 1.0, abs=0.01)
-        assert inner_band(PolarPoint(0.0, 0.0), params, c=1.0)
-        assert not inner_band(PolarPoint(bound + 0.1, 0.0), params, c=1.0)
+        ps = PointSet(params, np.array([0.0, bound + 0.1]), np.zeros(2), MODE_POISSON, 0)
+        assert band_diagnostics(ps, params, c=1.0).inner_mask.tolist() == [True, False]
 
     def test_inner_band_needs_alpha_below_one(self):
         with pytest.raises(ValueError):
@@ -316,28 +314,53 @@ class TestUnderpass:
         assert result.tested == 100_000
         assert result.violations == 0
 
+    # node v = 1 lies angularly between u = 0 and w = 2
+    ANGLES = [0.0, math.pi / 2.0, math.pi]
+
     def test_hand_built_between_configuration(self):
-        # v at the smallest radius, angularly between connected u and w
-        params = ModelParams(3, 0.75, 0.0)
-        ps = PointSet(
-            params,
-            np.array([1.0, 0.2, 1.1]),
-            np.array([0.0, math.pi / 2.0, math.pi]),
-            MODE_FIXED,
-            0,
-        )
-        u, v, w = ps.point(0), ps.point(1), ps.point(2)
-        assert is_between(u, v, w)
-        g = build_banded(ps)
+        # v at the smallest radius; the edge {u, w} is the only one with v between
+        radii, angles = np.array([1.0, 0.2, 1.1]), np.array(self.ANGLES)
+        g = build_banded(PointSet(ModelParams(3, 0.75, 0.0), radii, angles, MODE_FIXED, 0))
         assert g.has_edge(0, 2), "test setup: u and w must be adjacent"
         assert g.has_edge(1, 0) and g.has_edge(1, 2)
+        result = check_underpass(g, 200, seed=1)
+        assert result.tested == 200 and result.violations == 0
+
+    @pytest.mark.parametrize(
+        "radii, edges, violations",
+        [
+            ([1.0, 0.2, 1.1], [(0, 1), (0, 2)], True),  # the layout above without {v, w}
+            ([1.0, 0.5, 0.2], [(0, 2), (1, 2)], False),  # r_w < r_v <= r_u: only {v, w} forced
+            ([1.0, 0.5, 0.2], [(0, 2), (0, 1)], True),
+            ([0.2, 0.5, 1.0], [(0, 2), (0, 1)], False),  # r_u < r_v <= r_w: only {v, u} forced
+            ([0.2, 0.5, 1.0], [(0, 2), (1, 2)], True),
+            ([0.5, 0.5, 0.5], [(0, 2), (0, 1)], True),  # equal radii: both forced
+            ([0.2, 1.0, 0.5], [(0, 2)], False),  # v above both: nothing forced
+        ],
+    )
+    def test_missing_forced_edge_detected(self, radii, edges, violations):
+        g = manual_graph(ModelParams(3, 0.75, 0.0), radii, self.ANGLES, edges)
+        result = check_underpass(g, 100, seed=2)
+        assert result.tested == 100
+        assert result.violations == (100 if violations else 0)
 
     def test_not_between_control(self):
-        u = PolarPoint(1.0, 0.0)
-        v = PolarPoint(1.0, math.pi / 2.0)
-        w = PolarPoint(1.0, math.pi)
-        assert is_between(u, v, w)
-        assert not is_between(u, w, v)  # angular sum overshoots via w
+        # node 2 lies outside the minor arc of the only edge {0, 1}
+        g = manual_graph(ModelParams(3, 0.75, 0.0), [1.0] * 3, self.ANGLES, [(0, 1)])
+        result = check_underpass(g, 10, seed=3)
+        assert result.tested == 0 and result.violations == 0
+        assert result.attempts == 100 * 10 + 1000
+
+    def test_deterministic_per_seed(self):
+        g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 29))
+        assert check_underpass(g, 5000, seed=4) == check_underpass(g, 5000, seed=4)
+
+    def test_degenerate_graphs(self):
+        params = ModelParams(3, 0.75, 0.0)
+        edgeless = manual_graph(params, [1.0] * 3, [0.0, 1.0, 2.0], [])
+        assert check_underpass(edgeless, 100) == UnderpassResult(0, 0, 0)
+        pair = manual_graph(ModelParams(2, 0.75, 0.0), [0.1, 0.1], [0.0, 1.0], [(0, 1)])
+        assert check_underpass(pair, 100) == UnderpassResult(0, 0, 0)
 
 
 class TestCoreClique:

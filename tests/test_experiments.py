@@ -211,6 +211,13 @@ class TestAnalyze:
         assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 2
         assert "alpha=1.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_inner_c_is_usage_error(self, tmp_path, capsys, value):
+        # the files do not exist: the flag is refused before any is opened
+        files = ["--coords", str(tmp_path / "c.tsv"), "--edges", str(tmp_path / "e.tsv")]
+        assert run_cli(["analyze", *files, "--inner-c", value]) == 2
+        assert capsys.readouterr().err.startswith("hrg analyze: ")
+
     @pytest.mark.parametrize("column, value", [(1, "nan"), (1, "99"), (2, "inf"), (2, "-0.5")])
     def test_bad_coordinate_names_its_line(self, tmp_path, capsys, column, value):
         coords, edges = write_fixture(
@@ -325,12 +332,22 @@ class TestSweep:
         assert "failed" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
-        config = self.make_config(tmp_path, n_values=[2048, 1024])
-        assert run_cli(["sweep", "--config", str(config)]) == 2
-        config = self.make_config(tmp_path, bogus_key=1)
-        assert run_cli(["sweep", "--config", str(config)]) == 2
-        config = self.make_config(tmp_path, alpha=1.5)
-        assert run_cli(["sweep", "--config", str(config)]) == 2
+        for overrides in [
+            {"n_values": [2048, 1024]},
+            {"bogus_key": 1},
+            {"alpha": 1.5},
+            {"seeds": 2.5},
+            {"seeds": True},
+            {"jobs": 1.5},
+            {"n_values": [256.9]},
+            {"n_values": [True, 256]},
+            {"underpass_trials": 1.5},
+            {"underpass_trials": -3},
+            {"inner_c": float("nan")},
+            {"inner_c": float("inf")},
+        ]:
+            config = self.make_config(tmp_path, **overrides)
+            assert run_cli(["sweep", "--config", str(config)]) == 2, overrides
 
     def test_removed_toggle_keys_rejected(self, tmp_path):
         for key in ("run_diameter", "run_degrees", "run_sectors", "run_inner_hops"):
@@ -404,3 +421,7 @@ class TestVerify:
 
     def test_mismatched_flags_usage_error(self):
         assert run_cli(["verify", "--coords", "only"]) == 2
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run_cli(["verify", "--quick", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("hrg verify: ")

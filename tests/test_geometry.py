@@ -9,11 +9,8 @@ from conftest import mp_distance, mp_theta
 from hrg.geometry import (
     TWO_PI,
     ModelParams,
-    PolarPoint,
-    delta_phi,
-    edge_indicator,
+    angle_gaps,
     edge_mask,
-    hyperbolic_distance,
     mu_ball_origin_exact,
     mu_lens_approx,
     mu_monte_carlo,
@@ -66,46 +63,31 @@ class TestModelParams:
         assert abs(params.R - 30.0) < 1e-5
 
 
-class TestPolarPoint:
-    def test_normalizes_angle(self):
-        assert PolarPoint(1.0, TWO_PI).phi == 0.0
-        assert PolarPoint(1.0, -0.5).phi == pytest.approx(TWO_PI - 0.5)
-        assert 0.0 <= PolarPoint(1.0, 17.0).phi < TWO_PI
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            PolarPoint(-0.1, 0.0)
-
-
 class TestDeltaPhi:
     def test_identical_angle(self):
-        assert delta_phi(PolarPoint(1.0, 0.0), PolarPoint(1.0, 0.0)) == 0.0
+        assert angle_gaps(0.0, 0.0) == 0.0
 
     def test_wraparound(self):
-        gap = delta_phi(PolarPoint(1.0, 0.1), PolarPoint(1.0, TWO_PI - 0.1))
-        assert gap == pytest.approx(0.2, abs=1e-12)
+        assert angle_gaps(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-12)
 
     def test_antipodal(self):
-        assert delta_phi(PolarPoint(1.0, 0.0), PolarPoint(1.0, math.pi)) == pytest.approx(
-            math.pi
-        )
+        assert angle_gaps(0.0, math.pi) == pytest.approx(math.pi)
 
 
 class TestHyperbolicDistance:
     def test_identity(self):
-        p = PolarPoint(3.0, 1.0)
-        assert hyperbolic_distance(p, p) == 0.0
+        assert pair_distances(3.0, 1.0, 3.0, 1.0) == 0.0
 
     def test_distance_to_origin_is_radius(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             r = float(rng.uniform(0.0, 30.0))
             phi = float(rng.uniform(0.0, TWO_PI))
-            d = hyperbolic_distance(PolarPoint(r, phi), PolarPoint(0.0, 0.0))
+            d = pair_distances(r, phi, 0.0, 0.0)
             assert abs(d - r) <= 1e-12
 
     def test_against_high_precision_oracle(self):
-        d = hyperbolic_distance(PolarPoint(5.0, 0.0), PolarPoint(5.0, math.pi))
+        d = pair_distances(5.0, 0.0, 5.0, math.pi)
         assert abs(d - float(mp_distance(5, 0, 5, math.pi))) <= 1e-12
 
     def test_symmetry_exact(self):
@@ -131,13 +113,12 @@ class TestHyperbolicDistance:
 
 class TestEdgeIndicator:
     def test_coincident_points_connect(self):
-        p = PolarPoint(2.0, 0.5)
-        assert edge_indicator(p, p, 10.0)
+        assert edge_mask(2.0, 0.5, 2.0, 0.5, 10.0)
 
     def test_antipodal_boundary_points_do_not(self):
         R = 10.0
         assert float(mp_distance(R, 0, R, math.pi)) > R
-        assert not edge_indicator(PolarPoint(R, 0.0), PolarPoint(R, math.pi), R)
+        assert not edge_mask(R, 0.0, R, math.pi, R)
 
     def test_agrees_with_distance_form(self):
         params = ModelParams(10_000, 0.75, 0.0)
@@ -151,20 +132,6 @@ class TestEdgeIndicator:
         via_mask = edge_mask(r1, phi1, r2, phi2, R)
         via_distance = pair_distances(r1, phi1, r2, phi2) <= R
         assert np.array_equal(via_mask, via_distance)
-
-    def test_scalar_matches_vector(self):
-        params = ModelParams(1000, 0.75, 0.0)
-        R = params.R
-        rng = np.random.default_rng(5)
-        r1 = radial_icdf(rng.random(500), params)
-        r2 = radial_icdf(rng.random(500), params)
-        phi1 = rng.uniform(0.0, TWO_PI, 500)
-        phi2 = rng.uniform(0.0, TWO_PI, 500)
-        mask = edge_mask(r1, phi1, r2, phi2, R)
-        for k in range(500):
-            u = PolarPoint(float(r1[k]), float(phi1[k]))
-            v = PolarPoint(float(r2[k]), float(phi2[k]))
-            assert edge_indicator(u, v, R) == bool(mask[k])
 
 
 class TestThetaExact:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import mp_distance
 
-from hrg.geometry import ModelParams, PolarPoint, edge_indicator, theta_exact
+from hrg.geometry import ModelParams, edge_mask, theta_exact
 from hrg.graphgen import (
     BandIndex,
     Graph,
@@ -130,9 +130,8 @@ class TestGraphStructure:
     def test_every_edge_satisfies_indicator(self):
         ps = sample_fixed(ModelParams(300, 0.75, 0.0), 14)
         g = build_banded(ps)
-        R = ps.params.R
-        for a, b in g.edges[:: max(1, g.m // 200)]:
-            assert edge_indicator(ps.point(int(a)), ps.point(int(b)), R)
+        a, b = g.edges.T
+        assert edge_mask(ps.r[a], ps.phi[a], ps.r[b], ps.phi[b], ps.params.R).all()
 
 
 class TestMonotonicity:
@@ -141,14 +140,11 @@ class TestMonotonicity:
         g = build_banded(ps)
         R = ps.params.R
         rng = np.random.default_rng(16)
-        picks = rng.integers(0, g.m, 10_000)
-        for k in picks:
-            a, b = (int(x) for x in g.edges[k])
-            pa, pb = ps.point(a), ps.point(b)
-            shrunk_a = PolarPoint(pa.r * rng.uniform(0.0, 1.0), pa.phi)
-            assert edge_indicator(shrunk_a, pb, R)
-            shrunk_b = PolarPoint(pb.r * rng.uniform(0.0, 1.0), pb.phi)
-            assert edge_indicator(pa, shrunk_b, R)
+        a, b = g.edges[rng.integers(0, g.m, 10_000)].T
+        shrunk_a = ps.r[a] * rng.uniform(0.0, 1.0, a.size)
+        assert edge_mask(shrunk_a, ps.phi[a], ps.r[b], ps.phi[b], R).all()
+        shrunk_b = ps.r[b] * rng.uniform(0.0, 1.0, b.size)
+        assert edge_mask(ps.r[a], ps.phi[a], shrunk_b, ps.phi[b], R).all()
 
 
 class TestLayerIndex:

@@ -154,9 +154,3 @@ class TestPointSetValidation:
         ps = sample_fixed(ModelParams(10, 0.75, 0.0), 0)
         with pytest.raises(ValueError):
             ps.r[0] = 1.0
-
-    def test_point_accessors(self):
-        ps = sample_fixed(ModelParams(4, 0.75, 0.0), 0)
-        pts = ps.points
-        assert len(pts) == 4
-        assert pts[2].r == ps.r[2] and pts[2].phi == ps.phi[2]
