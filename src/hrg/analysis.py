@@ -1,24 +1,24 @@
 """Structural analysis of generated graphs.
 
 Connected components, exact diameters (iFUB), degree statistics with a
-tail-exponent fit, layer and band diagnostics, sector-run statistics,
-deterministic geometric consistency checks, and greedy routing. All
-functions take an immutable :class:`~hrg.graphgen.Graph` or
-:class:`~hrg.sampling.PointSet` and are safe to run concurrently.
+tail-exponent fit, inner-band diagnostics, sector-run statistics, and
+deterministic geometric consistency checks. All functions take an
+immutable :class:`~hrg.graphgen.Graph` or :class:`~hrg.sampling.PointSet`
+and are safe to run concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from ._util import concatenated_ranges
-from .geometry import TWO_PI, ModelParams, angle_gaps, pair_distances
-from .graphgen import Graph, layer_of_radius
+from .geometry import TWO_PI, ModelParams, angle_gaps
+from .graphgen import Graph
 from .sampling import PointSet
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "BandDiagnostics",
     "InnerBandReach",
     "UnderpassResult",
-    "RouteResult",
     "bfs_distances",
     "connected_components",
     "component_report",
@@ -41,7 +40,6 @@ __all__ = [
     "check_core_clique",
     "core_node_ids",
     "inner_band_hops",
-    "greedy_route",
     "analyze_graph",
 ]
 
@@ -154,9 +152,6 @@ class ComponentReport:
     giant_diameter: int
     max_component_diameter: int
 
-    def nodes_of(self, label: int) -> np.ndarray:
-        return np.nonzero(self.labels == label)[0]
-
 
 def component_report(g: Graph) -> ComponentReport:
     labels = connected_components(g)
@@ -179,12 +174,19 @@ def component_report(g: Graph) -> ComponentReport:
     )
 
 
+# Smallest degree in the tail fit, and the tail size below which the fit
+# is flagged unreliable.
+TAIL_FLOOR = 10
+MIN_TAIL = 50
+
+
 @dataclass(frozen=True, eq=False)
 class DegreeStats:
     """Degree histogram plus a discrete maximum-likelihood tail exponent.
 
     ``beta_hat = 1 + k / sum(ln(d_i / (x_min - 1/2)))`` over the k degrees
-    >= x_min. The fit is flagged unreliable below 50 tail samples.
+    >= x_min = ``TAIL_FLOOR``. The fit is flagged unreliable below
+    ``MIN_TAIL`` tail samples.
     """
 
     histogram: np.ndarray
@@ -197,14 +199,14 @@ class DegreeStats:
     delta_theory: float
 
 
-def degree_stats(g: Graph, tail_floor: int = 10, min_tail: int = 50) -> DegreeStats:
+def degree_stats(g: Graph) -> DegreeStats:
     deg = g.degrees
     params = g.pointset.params
     hist = np.bincount(deg, minlength=1) if g.n else np.zeros(1, dtype=np.int64)
     mean = 2.0 * g.m / g.n if g.n else 0.0
-    x_min = tail_floor
+    x_min = TAIL_FLOOR
     tail = deg[deg >= x_min]
-    reliable = tail.size >= min_tail
+    reliable = tail.size >= MIN_TAIL
     if tail.size:
         denom = float(np.log(tail / (x_min - 0.5)).sum())
         beta_hat = 1.0 + tail.size / denom if denom > 0 else math.nan
@@ -238,17 +240,20 @@ def core_node_ids(g: Graph) -> np.ndarray:
     return np.nonzero(ps.r <= ps.params.R / 2.0)[0]
 
 
-def max_empty_sector_run(ps: PointSet, params: ModelParams, c: float = 1.0) -> int:
+def _sector_of(phi: np.ndarray, n: int) -> np.ndarray:
+    """Index of the angle's sector, out of n equal sectors of the circle."""
+    return np.minimum((phi / TWO_PI * n).astype(np.int64), n - 1)
+
+
+def max_empty_sector_run(ps: PointSet, c: float = 1.0) -> int:
     """Longest circular run of consecutive empty sectors, out of n equal
     sectors, where a sector counts as empty when it holds no inner-band
     node."""
-    n = params.n
-    bound = inner_band_radius(params, c)
-    inner_phi = ps.phi[ps.r <= bound]
+    n = ps.params.n
+    inner_phi = ps.phi[ps.r <= inner_band_radius(ps.params, c)]
     if inner_phi.size == 0:
         return n
-    sector = np.minimum((inner_phi / (2.0 * math.pi) * n).astype(np.int64), n - 1)
-    occupied = np.unique(sector)
+    occupied = np.unique(_sector_of(inner_phi, n))
     if occupied.size == 1:
         return n - 1
     gaps = np.diff(occupied) - 1
@@ -258,10 +263,9 @@ def max_empty_sector_run(ps: PointSet, params: ModelParams, c: float = 1.0) -> i
 
 @dataclass(frozen=True, eq=False)
 class BandDiagnostics:
-    """Per-node layer/band membership plus sector occupancy summaries."""
+    """Per-node inner-band membership plus sector occupancy summaries."""
 
     inner_c: float
-    layer: np.ndarray
     inner_mask: np.ndarray
     sectors: int
     max_empty_sector_run: int
@@ -269,18 +273,17 @@ class BandDiagnostics:
     max_nodes_in_window: int
 
 
-def band_diagnostics(ps: PointSet, params: ModelParams, c: float = 1.0) -> BandDiagnostics:
+def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
+    params = ps.params
     n = params.n
-    layer = layer_of_radius(ps.r, params.R)
     inner_mask = ps.r <= inner_band_radius(params, c)
-    run = max_empty_sector_run(ps, params, c)
+    run = max_empty_sector_run(ps, c)
     if n > 1:
         k = min(n, int(math.ceil(math.log(n) ** (1.0 / (1.0 - params.alpha)))))
     else:
         k = 1
     if len(ps):
-        sector = np.minimum((ps.phi / (2.0 * math.pi) * n).astype(np.int64), n - 1)
-        counts = np.bincount(sector, minlength=n)
+        counts = np.bincount(_sector_of(ps.phi, n), minlength=n)
         if k >= n:
             max_window = int(counts.sum())
         else:
@@ -291,7 +294,6 @@ def band_diagnostics(ps: PointSet, params: ModelParams, c: float = 1.0) -> BandD
         max_window = 0
     return BandDiagnostics(
         inner_c=c,
-        layer=layer,
         inner_mask=inner_mask,
         sectors=n,
         max_empty_sector_run=run,
@@ -380,80 +382,24 @@ class InnerBandReach:
     """Hop distances from the central clique to the inner band."""
 
     max_hops: int
-    pairwise_bound: int
     anomalies: int
-    inner_count: int
-    core_count: int
-    core_empty: bool
 
 
-def inner_band_hops(g: Graph, params: ModelParams, c: float = 1.0) -> InnerBandReach:
+def inner_band_hops(g: Graph, c: float = 1.0) -> InnerBandReach:
     """Maximum BFS hop distance from the core (radius <= R/2) over the
     inner-band nodes.
 
-    Inner-band nodes unreachable from the core are counted as anomalies
-    rather than failures; the implied bound on inner-band pairwise
-    distances is 2 * max + 1.
+    Inner-band nodes unreachable from the core, all of them when the core
+    is empty, are counted as anomalies rather than failures; the implied
+    bound on inner-band pairwise distances is 2 * max + 1.
     """
-    core = core_node_ids(g)
-    bound = inner_band_radius(params, c)
-    inner = np.nonzero(g.pointset.r <= bound)[0]
-    if core.size == 0:
-        return InnerBandReach(0, 0, int(inner.size), int(inner.size), 0, True)
-    dist = bfs_distances(g, core)
-    hops = dist[inner]
+    inner = np.nonzero(g.pointset.r <= inner_band_radius(g.pointset.params, c))[0]
+    hops = bfs_distances(g, core_node_ids(g))[inner]
     reachable = hops[hops >= 0]
-    max_hops = int(reachable.max()) if reachable.size else 0
-    anomalies = int(np.count_nonzero(hops < 0))
     return InnerBandReach(
-        max_hops=max_hops,
-        pairwise_bound=2 * max_hops + 1,
-        anomalies=anomalies,
-        inner_count=int(inner.size),
-        core_count=int(core.size),
-        core_empty=False,
+        max_hops=int(reachable.max()) if reachable.size else 0,
+        anomalies=int(np.count_nonzero(hops < 0)),
     )
-
-
-@dataclass(frozen=True)
-class RouteResult:
-    success: bool
-    path: list[int] = field(default_factory=list)
-
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
-
-
-def greedy_route(g: Graph, s: int, t: int) -> RouteResult:
-    """Greedy geometric routing: repeatedly forward to the neighbor
-    hyperbolically closest to the target, ties broken by smallest node id.
-
-    Succeeds on reaching t; fails when no neighbor improves the current
-    distance to t (a local minimum). The distance strictly decreases along
-    the route, so termination is guaranteed.
-    """
-    if s == t:
-        return RouteResult(True, [s])
-    ps = g.pointset
-    rt, pt = float(ps.r[t]), float(ps.phi[t])
-    cur = int(s)
-    cur_dist = float(pair_distances(ps.r[cur], ps.phi[cur], rt, pt))
-    path = [cur]
-    while True:
-        nbrs = g.neighbors(cur)
-        if nbrs.size == 0:
-            return RouteResult(False, path)
-        dists = np.atleast_1d(pair_distances(ps.r[nbrs], ps.phi[nbrs], rt, pt))
-        k = int(np.argmin(dists))  # neighbor lists are sorted, argmin takes lowest id on ties
-        nxt = int(nbrs[k])
-        if nxt == t:
-            path.append(t)
-            return RouteResult(True, path)
-        if not dists[k] < cur_dist:
-            return RouteResult(False, path)
-        cur, cur_dist = nxt, float(dists[k])
-        path.append(cur)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,14 +419,13 @@ class GraphAnalysis:
 def analyze_graph(g: Graph, inner_c: float = 1.0) -> GraphAnalysis:
     """Components with exact diameters, degrees, bands, hops from the core to
     the inner band, and whether the core (radius <= R/2) is a clique in the giant."""
-    params = g.pointset.params
     comps = component_report(g)
     core = core_node_ids(g)
     return GraphAnalysis(
         components=comps,
         degrees=degree_stats(g),
-        bands=band_diagnostics(g.pointset, params, inner_c),
-        reach=inner_band_hops(g, params, inner_c),
+        bands=band_diagnostics(g.pointset, inner_c),
+        reach=inner_band_hops(g, inner_c),
         core_size=int(core.size),
         core_clique=check_core_clique(g),
         core_in_giant=bool(np.all(comps.labels[core] == comps.giant_label)),

@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a sweep from a JSON config")
     swp.add_argument("--config", required=True, help="JSON sweep config path")
     swp.add_argument("--jobs", type=int, help="parallel cells (overrides the config's jobs)")
-    swp.add_argument("--out", help="CSV output path (overrides config out_csv)")
+    swp.add_argument("--out", help="CSV output path (default stdout)")
 
     ver = sub.add_parser("verify", help="run the self-check suite")
     ver.add_argument("--quick", action="store_true", help="reduced sample sizes")
@@ -119,9 +119,8 @@ def _cmd_sweep(args) -> int:
         print(f"hrg sweep: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     records = run_sweep(config)
-    out_path = args.out or config.out_csv
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             write_sweep_csv(records, fh)
     else:
         write_sweep_csv(records, sys.stdout)

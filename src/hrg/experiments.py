@@ -49,6 +49,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; bools and non-numbers are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One sweep: the n values, model constants, seeds per n, and underpass trials.
@@ -63,7 +70,6 @@ class SweepConfig:
     seeds: int
     mode: str = MODE_FIXED
     inner_c: float = 1.0
-    out_csv: str = ""
     jobs: int = 1
     underpass_trials: int = 0
 
@@ -81,10 +87,10 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if _integer("underpass_trials", self.underpass_trials) < 0:
             raise ValueError("underpass_trials must be >= 0")
-        if not math.isfinite(self.inner_c):
+        if not math.isfinite(_real("inner_c", self.inner_c)):
             raise ValueError(f"inner_c must be finite, got {self.inner_c!r}")
         # validates alpha > 0 and n >= 1 the same way a cell would
-        ModelParams(values[0], self.alpha, self.C)
+        ModelParams(values[0], _real("alpha", self.alpha), _real("C", self.C))
         if not self.alpha < 1.0:
             raise ValueError(f"need alpha < 1 for the inner band, got alpha={self.alpha!r}")
         object.__setattr__(self, "n_values", values)

@@ -41,9 +41,8 @@ class ModelParams:
     is derived and kept consistent with the inputs.
 
     Degree power laws with exponent between 2 and 3 correspond to
-    ``1/2 < alpha < 1``. Any finite positive alpha is accepted, but values
-    outside that window are flagged via :attr:`in_supported_regime` rather
-    than rejected. ``ValueError`` rejects a non-finite alpha or C, R < 0,
+    ``1/2 < alpha < 1``, but any finite positive alpha is accepted.
+    ``ValueError`` rejects a non-finite alpha or C, R < 0,
     and alpha * R >= 700, where cosh(alpha * R) overflows a double.
     """
 
@@ -61,10 +60,6 @@ class ModelParams:
         if not 0.0 <= self.alpha * radius < 700.0:
             raise ValueError(f"need 0 <= alpha * R < 700, got R = 2 ln n + C = {radius}")
         object.__setattr__(self, "R", radius)
-
-    @property
-    def in_supported_regime(self) -> bool:
-        return 0.5 < self.alpha < 1.0
 
     @property
     def degree_exponent(self) -> float:
@@ -192,6 +187,10 @@ def mu_lens_approx(r, m, params: ModelParams):
     return _ret(lead * np.exp(-a * m - (r - m) / 2.0))
 
 
+# Samples drawn per batch by :func:`mu_monte_carlo`, which bounds its memory.
+MC_CHUNK = 4_000_000
+
+
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     value: float
@@ -205,7 +204,6 @@ def mu_monte_carlo(
     params: ModelParams,
     samples: int,
     seed: int = 0,
-    chunk: int = 4_000_000,
 ) -> MonteCarloEstimate:
     """Estimate the measure of ``region`` by sampling the model density.
 
@@ -222,7 +220,7 @@ def mu_monte_carlo(
     hits = 0
     done = 0
     while done < samples:
-        k = min(chunk, samples - done)
+        k = min(MC_CHUNK, samples - done)
         phi = rng.uniform(0.0, TWO_PI, k)
         radii = radial_icdf(rng.random(k), params)
         hits += int(np.count_nonzero(region(radii, phi)))

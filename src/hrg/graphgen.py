@@ -74,14 +74,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        k = int(np.searchsorted(row, v))
-        return k < row.size and int(row[k]) == v
-
     @classmethod
     def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":
         """Build the canonical structure from endpoint arrays (one entry
@@ -120,23 +112,19 @@ def band_count(R: float) -> int:
 class BandIndex:
     """Per-band node ids sorted by angle.
 
-    Band i spans radii ``(boundaries[i], boundaries[i-1]]``, so the bands
-    are disjoint and cover [0, R]. ``ids[i-1]`` and ``angles[i-1]`` hold
-    band i, aligned; ``band_of`` maps every node to its band.
+    Band i spans radii (R - i, R - i + 1] (see :func:`layer_of_radius`), so
+    the ``count`` bands are disjoint and cover [0, R]. ``ids[i-1]`` and
+    ``angles[i-1]`` hold band i, aligned.
     """
 
     count: int
-    boundaries: np.ndarray
     ids: list
     angles: list
-    band_of: np.ndarray
 
     @classmethod
     def build(cls, ps: PointSet) -> "BandIndex":
         R = ps.params.R
         nbands = band_count(R)
-        boundaries = np.maximum(R - np.arange(nbands + 1, dtype=float), 0.0)
-        boundaries[-1] = 0.0
         band_of = layer_of_radius(ps.r, R)
         ids: list = []
         angles: list = []
@@ -146,9 +134,7 @@ class BandIndex:
             members = members[order]
             ids.append(members)
             angles.append(ps.phi[members])
-        return cls(
-            count=nbands, boundaries=boundaries, ids=ids, angles=angles, band_of=band_of
-        )
+        return cls(count=nbands, ids=ids, angles=angles)
 
 
 def theta_upper(band_i: int, band_j: int, R: float) -> float:

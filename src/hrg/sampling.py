@@ -58,7 +58,6 @@ class PointSet:
     phi: np.ndarray
     mode: str
     seed: int
-    count_method: str = "direct"
 
     def __post_init__(self) -> None:
         r = np.ascontiguousarray(np.asarray(self.r, dtype=float))
@@ -99,29 +98,12 @@ def sample_fixed(params: ModelParams, seed: int) -> PointSet:
     return PointSet(params, radii, phi, MODE_FIXED, int(seed))
 
 
-def _poisson_count(rng: np.random.Generator, mean: float) -> tuple[int, str]:
-    """Draw a Poisson count; inversion below mean 10, numpy's transformed
-    rejection (PTRS) otherwise. Returns (count, method name)."""
-    if mean < 10.0:
-        u = rng.random()
-        x = 0
-        p = math.exp(-mean)
-        acc = p
-        while u > acc:
-            x += 1
-            p *= mean / x
-            acc += p
-        return x, "inversion"
-    return int(rng.poisson(mean)), "ptrs"
-
-
 def sample_poisson(params: ModelParams, seed: int) -> PointSet:
     """Poisson variant: the point count is Poisson with mean n, then each
     point is drawn exactly as in :func:`sample_fixed`."""
     rng = np.random.default_rng(seed)
-    count, method = _poisson_count(rng, float(params.n))
-    radii, phi = _draw_points(params, count, rng)
-    return PointSet(params, radii, phi, MODE_POISSON, int(seed), count_method=method)
+    radii, phi = _draw_points(params, int(rng.poisson(params.n)), rng)
+    return PointSet(params, radii, phi, MODE_POISSON, int(seed))
 
 
 def disjointness_check(

@@ -222,7 +222,7 @@ def _check_diameter_oracle(rng, count: int) -> CheckResult:
         ps = sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63)))
         g = build_banded(ps)
         comps = component_report(g)
-        nodes = comps.nodes_of(comps.giant_label)
+        nodes = np.flatnonzero(comps.labels == comps.giant_label)
         if nodes.size < 2:
             continue
         oracle = _apsp_diameter(g, nodes)
@@ -266,7 +266,7 @@ def _report_band_constants(n: int, seed: int) -> CheckResult:
     ps = sample_fixed(params, seed)
     parts = []
     for c in (0.5, 1.0, 2.0):
-        diag = band_diagnostics(ps, params, c)
+        diag = band_diagnostics(ps, c)
         inner = int(np.count_nonzero(diag.inner_mask))
         parts.append(f"c={c}: inner={inner} max_empty_run={diag.max_empty_sector_run}")
     return _det("analysis/band-constants", True, "; ".join(parts))

@@ -286,7 +286,7 @@ def test_criterion_10_oracle_equivalences():
         ps = sample_fixed(ModelParams(n, ALPHA, C_PARAM), int(rng.integers(2**63)))
         g = build_banded(ps)
         comps = component_report(g)
-        nodes = comps.nodes_of(comps.giant_label)
+        nodes = np.flatnonzero(comps.labels == comps.giant_label)
         if nodes.size < 2:
             continue
         if exact_diameter(g, nodes) != oracle_diameter(g, nodes):

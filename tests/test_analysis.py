@@ -1,5 +1,5 @@
 """Tests for structural analysis: components, diameter, degrees, bands,
-forced-edge checks, routing."""
+forced-edge checks."""
 
 import math
 from collections import deque
@@ -9,6 +9,7 @@ import pytest
 
 from hrg import analysis
 from hrg.analysis import (
+    InnerBandReach,
     UnderpassResult,
     analyze_graph,
     bfs_distances,
@@ -20,7 +21,6 @@ from hrg.analysis import (
     core_node_ids,
     degree_stats,
     exact_diameter,
-    greedy_route,
     inner_band_hops,
     inner_band_radius,
     max_empty_sector_run,
@@ -145,7 +145,7 @@ class TestExactDiameter:
             ps = sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63)))
             g = build_banded(ps)
             report = component_report(g)
-            nodes = report.nodes_of(report.giant_label)
+            nodes = np.flatnonzero(report.labels == report.giant_label)
             if nodes.size < 2:
                 continue
             assert exact_diameter(g, nodes) == oracle_diameter(g, nodes)
@@ -162,7 +162,7 @@ class TestComponentReport:
         assert report.second_size <= report.giant_size
         assert report.giant_diameter >= 0
         assert report.max_component_diameter >= report.giant_diameter
-        assert report.nodes_of(report.giant_label).size == report.giant_size
+        assert np.count_nonzero(report.labels == report.giant_label) == report.giant_size
 
     def test_max_diameter_component(self):
         # two components: a triangle and a path of 4 with larger diameter
@@ -267,7 +267,7 @@ class TestLayersAndBands:
         bound = inner_band_radius(params, c=1.0)
         assert bound == pytest.approx(20.0 - math.log(20.0) / 0.25 - 1.0, abs=0.01)
         ps = PointSet(params, np.array([0.0, bound + 0.1]), np.zeros(2), MODE_POISSON, 0)
-        assert band_diagnostics(ps, params, c=1.0).inner_mask.tolist() == [True, False]
+        assert band_diagnostics(ps, c=1.0).inner_mask.tolist() == [True, False]
 
     def test_inner_band_needs_alpha_below_one(self):
         with pytest.raises(ValueError):
@@ -280,13 +280,13 @@ class TestSectorRuns:
         params = ModelParams(1000, 0.75, 0.0)
         ps = PointSet(params, np.zeros(1000), np.zeros(1000), MODE_FIXED, 0)
         assert inner_band_radius(params) > 0.0
-        assert max_empty_sector_run(ps, params) == 999
+        assert max_empty_sector_run(ps) == 999
 
     def test_no_inner_points(self):
         params = ModelParams(50, 0.75, 0.0)
         radii = np.full(50, params.R)
         ps = PointSet(params, radii, np.linspace(0.0, 6.0, 50), MODE_FIXED, 0)
-        assert max_empty_sector_run(ps, params) == 50
+        assert max_empty_sector_run(ps) == 50
 
     def test_empirical_bound_across_seeds(self):
         # longest run stays below a fitted multiple of (ln n)^{1/(1-alpha)};
@@ -295,14 +295,14 @@ class TestSectorRuns:
         limit = 8.0 * math.log(params.n) ** 4
         for seed in range(1, 11):
             ps = sample_fixed(params, seed)
-            assert max_empty_sector_run(ps, params, 1.0) <= limit
+            assert max_empty_sector_run(ps, 1.0) <= limit
 
     def test_diagnostics_fields(self):
         params = ModelParams(1000, 0.75, 0.0)
         ps = sample_fixed(params, 26)
-        diag = band_diagnostics(ps, params, 1.0)
+        diag = band_diagnostics(ps, 1.0)
         assert diag.sectors == 1000
-        assert diag.layer.size == len(ps)
+        assert diag.inner_mask.size == len(ps)
         assert diag.window_k == min(1000, math.ceil(math.log(1000) ** 4))
         assert 0 <= diag.max_nodes_in_window <= len(ps)
 
@@ -321,8 +321,7 @@ class TestUnderpass:
         # v at the smallest radius; the edge {u, w} is the only one with v between
         radii, angles = np.array([1.0, 0.2, 1.1]), np.array(self.ANGLES)
         g = build_banded(PointSet(ModelParams(3, 0.75, 0.0), radii, angles, MODE_FIXED, 0))
-        assert g.has_edge(0, 2), "test setup: u and w must be adjacent"
-        assert g.has_edge(1, 0) and g.has_edge(1, 2)
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]], "test setup: a triangle"
         result = check_underpass(g, 200, seed=1)
         assert result.tested == 200 and result.violations == 0
 
@@ -395,11 +394,9 @@ class TestInnerBandHops:
     def test_all_inner_nodes_in_core(self):
         # below R ~ 34 the inner band sits inside the core, so hops are 0
         g = build_banded(sample_fixed(ModelParams(50_000, 0.75, 0.0), 31))
-        reach = inner_band_hops(g, g.pointset.params)
+        reach = inner_band_hops(g)
         assert inner_band_radius(g.pointset.params) < g.pointset.params.R / 2.0
-        assert reach.max_hops == 0
-        assert reach.pairwise_bound == 1
-        assert reach.anomalies == 0
+        assert reach == InnerBandReach(max_hops=0, anomalies=0)
 
     def test_disconnected_inner_node_is_anomaly(self):
         # radius 40 disc: inner band reaches beyond the core
@@ -411,17 +408,18 @@ class TestInnerBandHops:
         radii = [1.0, (params.R / 2.0 + bound) / 2.0]
         ps = PointSet(params, np.asarray(radii), np.array([0.0, math.pi]), MODE_POISSON, 0)
         g = Graph.from_edge_array(ps, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        reach = inner_band_hops(g, params)
-        assert reach.core_count == 1 and reach.inner_count == 2
-        assert reach.anomalies == 1
-        assert reach.max_hops == 0
+        assert inner_band_hops(g) == InnerBandReach(max_hops=0, anomalies=1)
 
     def test_core_empty_flagged(self):
-        params = ModelParams(2, 0.75, 0.0)
-        R = params.R
-        g = manual_graph(params, [R, R - 0.1], [0.0, 1.0], [])
-        reach = inner_band_hops(g, params)
-        assert reach.core_empty
+        # no core node: both inner-band nodes, between R/2 and the band
+        # boundary, count as anomalies
+        params = ModelParams.from_radius(40.0, 0.75)
+        bound = inner_band_radius(params)
+        radii = [(params.R / 2.0 + bound) / 2.0, bound - 0.1]
+        assert all(params.R / 2.0 < r <= bound for r in radii)
+        ps = PointSet(params, np.asarray(radii), np.array([0.0, math.pi]), MODE_POISSON, 0)
+        g = Graph.from_edge_array(ps, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert inner_band_hops(g) == InnerBandReach(max_hops=0, anomalies=2)
 
 
 class TestGiantContainment:
@@ -437,14 +435,13 @@ class TestGiantContainment:
 class TestAnalyzeGraph:
     def test_fields_match_single_analyses(self):
         g = build_banded(sample_fixed(ModelParams(10_000, 0.75, 0.0), 32))
-        params = g.pointset.params
         result = analyze_graph(g, inner_c=1.0)
         assert result.core_size == core_node_ids(g).size > 0
         assert result.core_clique is True and result.core_in_giant is True
         assert result.components.sizes == component_report(g).sizes
         assert result.degrees.mean_degree == degree_stats(g).mean_degree
-        assert result.bands.max_empty_sector_run == max_empty_sector_run(g.pointset, params)
-        assert result.reach == inner_band_hops(g, params)
+        assert result.bands.max_empty_sector_run == max_empty_sector_run(g.pointset)
+        assert result.reach == inner_band_hops(g)
 
     def test_core_outside_giant(self):
         # an isolated core node next to a three-node path at the rim
@@ -455,32 +452,3 @@ class TestAnalyzeGraph:
         assert result.core_size == 1
         assert result.core_clique is True
         assert result.core_in_giant is False
-
-
-class TestGreedyRoute:
-    def test_source_equals_target(self):
-        g = build_banded(sample_fixed(ModelParams(100, 0.75, 0.0), 33))
-        result = greedy_route(g, 5, 5)
-        assert result.success and result.hops == 0 and result.path == [5]
-
-    def test_adjacent_target(self):
-        g = build_banded(sample_fixed(ModelParams(1000, 0.75, 0.0), 34))
-        u = int(np.argmax(g.degrees))
-        v = int(g.neighbors(u)[0])
-        result = greedy_route(g, u, v)
-        assert result.success and result.hops == 1 and result.path == [u, v]
-
-    def test_success_rate_and_hop_lower_bound(self):
-        g = build_banded(sample_fixed(ModelParams(10_000, 0.75, 0.0), 35))
-        report = component_report(g)
-        giant = report.nodes_of(report.giant_label)
-        rng = np.random.default_rng(36)
-        successes = 0
-        for _ in range(200):
-            s, t = (int(x) for x in rng.choice(giant, size=2, replace=False))
-            result = greedy_route(g, s, t)
-            if result.success:
-                successes += 1
-                shortest = int(bfs_distances(g, s)[t])
-                assert result.hops >= shortest
-        assert successes > 0  # exploratory metric, no asserted rate

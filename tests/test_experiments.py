@@ -273,7 +273,6 @@ class TestSweep:
             "alpha": 0.75,
             "C": 0.0,
             "seeds": 3,
-            "out_csv": str(tmp_path / "sweep.csv"),
         }
         payload.update(overrides)
         path = tmp_path / "config.json"
@@ -282,8 +281,9 @@ class TestSweep:
 
     def test_row_count_and_header(self, tmp_path):
         config = self.make_config(tmp_path)
-        assert run_cli(["sweep", "--config", str(config)]) == 0
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 6
 
@@ -325,8 +325,9 @@ class TestSweep:
 
         monkeypatch.setattr("hrg.experiments.build_banded", broken_builder)
         config = self.make_config(tmp_path, n_values=[64, 128], seeds=1, jobs=1)
-        assert run_cli(["sweep", "--config", str(config)]) == 1
-        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
         assert len(lines) == 3
         assert "nan" in lines[1]
         assert "failed" in capsys.readouterr().err
@@ -345,6 +346,11 @@ class TestSweep:
             {"underpass_trials": -3},
             {"inner_c": float("nan")},
             {"inner_c": float("inf")},
+            {"inner_c": True},
+            {"C": True},
+            {"C": "0"},
+            {"out_csv": 1},
+            {"out_csv": "x.csv"},
         ]:
             config = self.make_config(tmp_path, **overrides)
             assert run_cli(["sweep", "--config", str(config)]) == 2, overrides

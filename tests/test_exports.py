@@ -1,13 +1,17 @@
-"""Every exported name of the package and its modules resolves."""
+"""Every exported name of the package and its modules resolves, and so does
+every function the benchmark's tracer wraps."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import hrg
 
 MODULES = ["hrg"] + [f"hrg.{info.name}" for info in pkgutil.iter_modules(hrg.__path__)]
+TRACER = Path(__file__).resolve().parent.parent / "hrgbench" / "tracer.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,3 +25,19 @@ def test_star_import():
     namespace = {}
     exec("from hrg import *", namespace)
     assert set(hrg.__all__) <= set(namespace)
+
+
+def test_tracer_hooks_resolve():
+    # a hooked function that is renamed or deleted would otherwise show up
+    # only as ``trace.hooks_missing`` in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("hrgbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, path, _hook in tracer.HOOKS:
+        target = importlib.import_module(f"hrg.{mod_name}")
+        for attr in path.split("."):
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(f"{mod_name}.{path}")
+    assert tracer.HOOKS and not missing

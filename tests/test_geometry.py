@@ -49,11 +49,6 @@ class TestModelParams:
                 ModelParams(10, alpha, c)
         assert ModelParams(1, 0.75, 0.0).R == 0.0
 
-    def test_regime_flag_without_refusal(self):
-        assert ModelParams(10, 0.75, 0.0).in_supported_regime
-        assert not ModelParams(10, 0.3, 0.0).in_supported_regime
-        assert not ModelParams(10, 1.5, 0.0).in_supported_regime
-
     def test_degree_exponent(self):
         assert ModelParams(10, 0.75, 0.0).degree_exponent == 2.5
         assert ModelParams(10, 0.3, 0.0).degree_exponent == 2.0

@@ -32,7 +32,7 @@ class TestBuildNaive:
         params = ModelParams(2, 0.75, 0.0)
         ps = manual_pointset(params, [0.1, 0.1], [0.3, 4.0])
         g = build_naive(ps)
-        assert g.m == 1 and g.has_edge(0, 1)
+        assert g.edges.tolist() == [[0, 1]]
 
     def test_hand_placed_configuration_against_oracle(self):
         params = ModelParams(5, 0.75, 0.0)
@@ -115,7 +115,7 @@ class TestGraphStructure:
         assert int(g.degrees.sum()) == 2 * g.m
         for u in range(0, g.n, 97):
             for v in g.neighbors(u):
-                assert g.has_edge(int(v), u)
+                assert u in g.neighbors(int(v))
                 assert int(v) != u
 
     def test_adjacency_sorted_and_edges_canonical(self):
@@ -165,15 +165,6 @@ class TestLayerIndex:
             if ids.size:
                 assert float(ps.r[ids].min()) > R - i - 1e-12
                 assert float(ps.r[ids].max()) <= R - i + 1.0
-
-    def test_band_boundaries_cover_disc(self):
-        ps = sample_fixed(ModelParams(1000, 0.75, 0.0), 18)
-        bands = BandIndex.build(ps)
-        R = ps.params.R
-        assert bands.boundaries[0] == R
-        assert bands.boundaries[-1] == 0.0
-        assert bool(np.all(np.diff(bands.boundaries) < 0.0))
-        assert bands.boundaries.size == bands.count + 1
 
 
 class TestSpeed:
