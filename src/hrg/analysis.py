@@ -114,8 +114,10 @@ def _component_diameters(g: Graph, members: np.ndarray, counts: np.ndarray) -> n
     if np.any(level < 0):
         raise ValueError("component is not connected")
     # each group's nodes by decreasing root distance, ties by id; the first
-    # is the far end of the double sweep, the last the root
-    order = np.lexsort((-level, group))
+    # is the far end of the double sweep, the last the root. One stable sort
+    # of packed (group, distance) keys keeps the ascending ids of a tie.
+    top_level = int(level.max(initial=0))
+    order = np.argsort(group * (top_level + 1) + (top_level - level), kind="stable")
     fringe, fringe_level = members[order], level[order]
     lower = eccentricities(fringe[starts])
     nxt = starts + 1
@@ -162,7 +164,7 @@ def component_report(g: Graph) -> ComponentReport:
     multi = counts > 1
     diameters = np.zeros(uniq.size, dtype=np.int64)
     diameters[multi] = _component_diameters(g, members[np.repeat(multi, counts)], counts[multi])
-    order = np.lexsort((uniq, -counts))
+    order = np.argsort(-counts, kind="stable")  # uniq ascends: ties by smallest label
     return ComponentReport(
         labels=labels,
         sizes=counts[order].tolist(),

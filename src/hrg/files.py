@@ -10,8 +10,11 @@ no header.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import warnings
+from itertools import chain
 from typing import TextIO
 
 import numpy as np
@@ -33,6 +36,11 @@ __all__ = [
 
 REPORT_SCHEMA = 1
 
+# Rows the writers format per ``write``: bounds the text held at once.
+WRITE_BLOCK = 1 << 16
+
+_COORD_ROW = np.dtype([("id", np.int64), ("r", np.float64), ("phi", np.float64)])
+
 
 class DataFormatError(Exception):
     """Inconsistent or malformed data file; carries the offending line."""
@@ -48,8 +56,10 @@ def write_coords(stream: TextIO, ps: PointSet) -> None:
         f"# hrg v1 n={p.n} alpha={p.alpha!r} C={p.C!r} R={p.R!r} "
         f"seed={ps.seed} mode={ps.mode}\n"
     )
-    for i in range(len(ps)):
-        stream.write(f"{i}\t{ps.r[i]:.17g}\t{ps.phi[i]:.17g}\n")
+    for start in range(0, len(ps), WRITE_BLOCK):
+        stop = min(start + WRITE_BLOCK, len(ps))
+        rows = zip(range(start, stop), ps.r[start:stop].tolist(), ps.phi[start:stop].tolist())
+        stream.write("%d\t%.17g\t%.17g\n" * (stop - start) % tuple(chain.from_iterable(rows)))
 
 
 def _parse_header(line: str) -> tuple[ModelParams, int, str]:
@@ -84,6 +94,27 @@ def read_coords(stream: TextIO) -> PointSet:
     if not header:
         raise DataFormatError("empty coordinate file", 1)
     params, seed, mode = _parse_header(header)
+    stream, start, rows = _load_rows(stream, _COORD_ROW, "\t", ndmin=1)
+    if (
+        rows is not None
+        and np.array_equal(rows["id"], np.arange(rows.size))
+        # the domain test of _parse_coord_lines, also false for NaN
+        and np.all((rows["r"] >= 0.0) & (rows["r"] <= params.R))
+        and np.all((rows["phi"] >= 0.0) & (rows["phi"] < TWO_PI))
+    ):
+        radii, angles = rows["r"], rows["phi"]
+    else:
+        stream.seek(start)
+        radii, angles = _parse_coord_lines(stream, params.R)
+    try:
+        return PointSet(params, radii, angles, mode, seed)
+    except ValueError as exc:
+        raise DataFormatError(str(exc), 1) from None
+
+
+def _parse_coord_lines(stream: TextIO, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line coordinate rows after the header; the validator of
+    record, whose error names the first offending line."""
     radii = []
     angles = []
     for line_no, line in enumerate(stream, start=2):
@@ -98,33 +129,40 @@ def read_coords(stream: TextIO) -> PointSet:
             raise DataFormatError(str(exc), line_no) from None
         if idx != len(radii):
             raise DataFormatError(f"ids must be sequential from 0, got {idx}", line_no)
-        if not (0.0 <= r <= params.R and 0.0 <= phi < TWO_PI):  # also false for NaN
+        if not (0.0 <= r <= R and 0.0 <= phi < TWO_PI):  # also false for NaN
             raise DataFormatError(f"point {idx} ({r!r}, {phi!r}) not in [0, R] x [0, 2pi)", line_no)
         radii.append(r)
         angles.append(phi)
-    try:
-        return PointSet(
-            params,
-            np.asarray(radii, dtype=float),
-            np.asarray(angles, dtype=float),
-            mode,
-            seed,
-        )
-    except ValueError as exc:
-        raise DataFormatError(str(exc), 1) from None
+    return np.asarray(radii, dtype=float), np.asarray(angles, dtype=float)
 
 
 def write_edges(stream: TextIO, g: Graph) -> None:
-    for a, b in g.edges:
-        stream.write(f"{a}\t{b}\n")
+    for start in range(0, g.m, WRITE_BLOCK):
+        block = g.edges[start : start + WRITE_BLOCK]
+        stream.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     """Parse and validate an edge list against a known point count.
 
     Rejects references to missing ids, self-loops, and duplicate edges;
-    the error names the offending line.
+    the error names the offending line. Rows come back in file order as
+    (min id, max id).
     """
+    stream, start, rows = _load_rows(stream, np.int64, None, ndmin=2)
+    if rows is not None and rows.shape[1] == 2:
+        lo, hi = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
+        if lo.min() >= 0 and hi.max() < point_count and np.all(lo != hi):
+            keys = np.sort(lo * point_count + hi)
+            if not np.any(keys[1:] == keys[:-1]):
+                return np.column_stack((lo, hi))
+    stream.seek(start)
+    return _parse_edge_lines(stream, point_count)
+
+
+def _parse_edge_lines(stream: TextIO, point_count: int) -> np.ndarray:
+    """Line-by-line edge rows; the validator of record, whose error names
+    the first offending line."""
     seen = set()
     rows = []
     for line_no, line in enumerate(stream, start=1):
@@ -153,6 +191,36 @@ def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     if not rows:
         return np.empty((0, 2), dtype=np.int64)
     return np.asarray(rows, dtype=np.int64)
+
+
+def _load_rows(
+    stream: TextIO, dtype, delimiter: str | None, ndmin: int
+) -> tuple[TextIO, int, np.ndarray | None]:
+    """Parse the rest of ``stream`` with one ``np.loadtxt``.
+
+    Returns ``(stream, start, rows)``. ``stream`` is the given one, or an
+    in-memory copy of its rest when it cannot seek (as a pipe cannot);
+    seeking it to ``start`` lets the line parser read the rows again.
+    ``rows`` is None when only blank lines remain or numpy refuses the
+    text. numpy accepts a subset of what ``int()``/``float()`` accept (not
+    ``1_0`` or non-ASCII digits) and parses it to the same values. A
+    warning counts as a refusal: numpy 1.x reads ``1.0`` into an int
+    column with only a DeprecationWarning.
+    """
+    if not stream.seekable():
+        stream = io.StringIO(stream.read())
+    start = stream.tell()
+    # no rows: skip numpy, which would warn "input contained no data"
+    if not any(line.strip() for line in iter(stream.readline, "")):
+        return stream, start, None
+    stream.seek(start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(stream, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
+        except (ValueError, Warning):
+            rows = None
+    return stream, start, rows
 
 
 def _finite_or_none(x: float):

@@ -77,20 +77,20 @@ class Graph:
     @classmethod
     def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":
         """Build the canonical structure from endpoint arrays (one entry
-        per undirected edge, no self-loops, no duplicates)."""
+        per undirected edge, no self-loops, no duplicates).
+
+        Both orders come from one sort of packed keys: ``lo * n + hi`` for
+        the edge rows, ``src * n + dst`` for the half-edges of the CSR.
+        """
         n = len(ps)
+        base = max(n, 1)  # n = 0 admits no edge; keeps the divisor non-zero
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        order = np.lexsort((hi, lo))
-        edges = np.column_stack((lo[order], hi[order]))
-        src = np.concatenate((edges[:, 0], edges[:, 1]))
-        dst = np.concatenate((edges[:, 1], edges[:, 0]))
-        half = np.lexsort((dst, src))
-        indices = dst[half]
+        lo, hi = np.divmod(np.sort(np.minimum(us, vs) * base + np.maximum(us, vs)), base)
+        edges = np.column_stack((lo, hi))
+        indices = np.sort(np.concatenate((lo * base + hi, hi * base + lo))) % base
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
         for arr in (edges, indices, indptr):
             arr.setflags(write=False)
         return cls(pointset=ps, indptr=indptr, indices=indices, edges=edges)

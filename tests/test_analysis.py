@@ -227,6 +227,38 @@ class TestComponentReport:
             assert report.max_component_diameter == max(diameters.values())
 
 
+class TestNetworkxCrossCheck:
+    def test_components_and_diameters(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(41)
+        for trial in range(20):
+            n = int(rng.integers(1, 80))
+            # mean degree 0.5..3 spans dust, small trees and one giant
+            pairs = rng.integers(0, n, size=(int(rng.uniform(0.25, 1.5) * n), 2))
+            pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+            pairs = rng.permutation(pairs)
+            swap = rng.random(len(pairs)) < 0.5
+            pairs[swap] = pairs[swap][:, ::-1]
+            g = manual_graph(ModelParams(n, 0.75, 0.0), [0.0] * n, [0.0] * n, pairs)
+            reference = nx.Graph()
+            reference.add_nodes_from(range(n))
+            reference.add_edges_from(pairs.tolist())
+
+            report = component_report(g)
+            components = sorted(
+                (sorted(c) for c in nx.connected_components(reference)),
+                key=lambda c: (-len(c), c[0]),
+            )
+            diameters = [nx.diameter(reference.subgraph(c)) for c in components]
+            for nodes, diameter in zip(components, diameters):
+                assert (report.labels[nodes] == nodes[0]).all()
+                assert exact_diameter(g, nodes) == diameter
+            assert report.sizes == [len(c) for c in components]
+            assert report.giant_label == components[0][0]
+            assert report.giant_diameter == diameters[0]
+            assert report.max_component_diameter == max(diameters)
+
+
 class TestDegreeStats:
     def test_regular_graph_unreliable(self):
         params = ModelParams(4, 0.75, 0.0)

@@ -134,6 +134,42 @@ class TestGraphStructure:
         assert edge_mask(ps.r[a], ps.phi[a], ps.r[b], ps.phi[b], ps.params.R).all()
 
 
+def lexsort_csr(n, us, vs):
+    """The two-lexsort CSR construction that ``Graph.from_edge_array``
+    replaced by sorts of packed keys; the reference for its output."""
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    order = np.lexsort((hi, lo))
+    edges = np.column_stack((lo[order], hi[order]))
+    src = np.concatenate((edges[:, 0], edges[:, 1]))
+    dst = np.concatenate((edges[:, 1], edges[:, 0]))
+    indices = dst[np.lexsort((dst, src))]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return edges, indices, indptr
+
+
+class TestCsrBuild:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 400])
+    def test_matches_lexsort_reference(self, n):
+        rng = np.random.default_rng(n)
+        params = ModelParams(max(n, 1), 0.75, 0.0)
+        ps = manual_pointset(params, np.zeros(n), np.zeros(n), mode=MODE_POISSON)
+        pairs = n * (n - 1) // 2
+        for m in sorted({0, min(1, pairs), pairs // 7, pairs}):
+            iu, iv = np.triu_indices(n, k=1)
+            pick = rng.permutation(pairs)[:m]
+            us, vs = iu[pick], iv[pick]
+            swap = rng.random(m) < 0.5
+            us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
+            g = Graph.from_edge_array(ps, us, vs)
+            built = (g.edges, g.indices, g.indptr)
+            for got, want in zip(built, lexsort_csr(n, us.astype(np.int64), vs.astype(np.int64))):
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not got.flags.writeable
+
+
 class TestMonotonicity:
     def test_shrinking_radius_preserves_edges(self):
         ps = sample_fixed(ModelParams(2000, 0.75, 0.0), 15)
