@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import TWO_PI
+
 
 def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(starts[k], starts[k] + counts[k])`` for all k.
@@ -19,3 +21,17 @@ def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
     return np.repeat(starts, counts) + offsets
+
+
+def arc_ranges(doubled: np.ndarray, lo_val, hi_val) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges ``[lo, hi)`` of the closed arcs ``[lo_val, hi_val]``.
+
+    ``doubled`` holds k sorted angles of [0, 2pi) followed by the same
+    angles + 2pi; an arc starting below 0 is looked up one turn later. Each
+    range is clamped to k entries, so an arc of a full turn holds every
+    angle exactly once, and position ``p`` is the angle of rank ``p % k``.
+    """
+    shift = np.where(lo_val < 0.0, TWO_PI, 0.0)
+    lo = np.searchsorted(doubled, lo_val + shift, side="left")
+    hi = np.searchsorted(doubled, hi_val + shift, side="right")
+    return lo, np.minimum(hi, lo + doubled.size // 2)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
-from ._util import concatenated_ranges
+from ._util import arc_ranges, concatenated_ranges
 from .geometry import TWO_PI, ModelParams, angle_gaps
 from .graphgen import Graph
 from .sampling import PointSet
@@ -337,8 +337,7 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
         return UnderpassResult(0, 0, 0)
     n, phi, r = g.n, g.pointset.phi, g.pointset.r
     order = np.argsort(phi, kind="stable")
-    doubled_vals = np.concatenate((phi[order], phi[order] + TWO_PI))
-    doubled_ids = np.concatenate((order, order))
+    doubled = np.concatenate((phi[order], phi[order] + TWO_PI))
     keys = g.edges[:, 0] * n + g.edges[:, 1]  # sorted, as the rows are canonical
 
     def adjacent(a, b):
@@ -356,9 +355,8 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
         minor = fwd <= math.pi
         arc_lo = np.where(minor, phi[u], phi[w])
         width = np.where(minor, fwd, TWO_PI - fwd)
-        lo = np.searchsorted(doubled_vals, arc_lo, side="left")
-        hi = np.searchsorted(doubled_vals, arc_lo + width, side="right")
-        v = doubled_ids[rng.integers(lo, np.maximum(hi, lo + 1))]
+        lo, hi = arc_ranges(doubled, arc_lo, arc_lo + width)
+        v = order[rng.integers(lo, np.maximum(hi, lo + 1)) % n]
         keep = (width > 0.0) & (hi > lo) & (v != u) & (v != w)
         pu, pv, pw = phi[u], phi[v], phi[w]
         excess = angle_gaps(pu, pv) + angle_gaps(pv, pw) - angle_gaps(pu, pw)

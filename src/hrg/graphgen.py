@@ -4,7 +4,8 @@
 ``build_banded`` partitions the disc into unit-thickness annuli (bands),
 sorts each band by angle, and for every band pair tests only the
 candidates inside a certified angular window, which keeps the expected
-candidate count near-linear for 1/2 < alpha < 1. Both builders evaluate
+candidate count near-linear for 1/2 < alpha < 1. Central band pairs get a
+window of half-width pi, which is the whole band. Both builders evaluate
 the identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import concatenated_ranges
+from ._util import arc_ranges, concatenated_ranges
 from .geometry import TWO_PI, edge_mask
 from .sampling import PointSet
 
@@ -151,21 +152,14 @@ def theta_upper(band_i: int, band_j: int, R: float) -> float:
     return min(math.pi, 2.0 * t * (1.0 + WINDOW_SLACK * t * t) + FLOAT_GUARD)
 
 
-def _empty_graph(ps: PointSet) -> Graph:
-    empty = np.empty(0, dtype=np.int64)
-    return Graph.from_edge_array(ps, empty, empty)
-
-
 def build_naive(ps: PointSet) -> Graph:
     """All-pairs reference builder, O(n^2); the correctness oracle."""
     n = len(ps)
-    if n < 2:
-        return _empty_graph(ps)
     r, phi, R = ps.r, ps.phi, ps.params.R
     cols = np.arange(n)
     us_parts = []
     vs_parts = []
-    block = max(1, 8_000_000 // n)
+    block = max(1, 8_000_000 // max(n, 1))
     for a in range(0, n - 1, block):
         b = min(a + block, n - 1)
         rows = np.arange(a, b)
@@ -179,40 +173,22 @@ def build_naive(ps: PointSet) -> Graph:
     return Graph.from_edge_array(ps, us, vs)
 
 
-def _window_candidates(centers, ids_i, sorted_angles, sorted_ids, width):
-    """Candidate pairs (u from band i, v from band j) with angular
-    separation at most ``width``, via binary search on the doubled angle
-    array. Requires width < pi so no candidate appears twice."""
-    doubled_vals = np.concatenate((sorted_angles, sorted_angles + TWO_PI))
-    doubled_ids = np.concatenate((sorted_ids, sorted_ids))
-    lo_val = centers - width
-    hi_val = centers + width
-    shift = np.where(lo_val < 0.0, TWO_PI, 0.0)
-    lo = np.searchsorted(doubled_vals, lo_val + shift, side="left")
-    hi = np.searchsorted(doubled_vals, hi_val + shift, side="right")
-    counts = hi - lo
-    cu = np.repeat(ids_i, counts)
-    cv = doubled_ids[concatenated_ranges(lo, counts)]
-    return cu, cv
-
-
 def build_banded(ps: PointSet) -> Graph:
     """Band/window builder; produces exactly the edge set of
     :func:`build_naive`.
 
     For every band pair only nodes within an angular window of half-width
-    :func:`theta_upper` are tested exactly. The window overestimates the
-    true threshold, so no edge is lost; the exact test discards the rest.
+    :func:`theta_upper` are tested exactly; a window of half-width pi is
+    the whole band. The window overestimates the true threshold, so no
+    edge is lost; the exact test discards the rest.
     """
-    n = len(ps)
-    if n < 2:
-        return _empty_graph(ps)
     r, phi, R = ps.r, ps.phi, ps.params.R
     bands = BandIndex.build(ps)
-    us_parts = []
-    vs_parts = []
+    doubled = [np.concatenate((angles, angles + TWO_PI)) for angles in bands.angles]
+    us_parts = [np.empty(0, dtype=np.int64)]
+    vs_parts = [np.empty(0, dtype=np.int64)]
     for i in range(1, bands.count + 1):
-        ids_i = bands.ids[i - 1]
+        ids_i, centers = bands.ids[i - 1], bands.angles[i - 1]
         if ids_i.size == 0:
             continue
         for j in range(i, bands.count + 1):
@@ -220,26 +196,13 @@ def build_banded(ps: PointSet) -> Graph:
             if ids_j.size == 0:
                 continue
             width = theta_upper(i, j, R)
-            if width >= math.pi:
-                if i == j:
-                    iu, iv = np.triu_indices(ids_i.size, k=1)
-                    cu, cv = ids_i[iu], ids_i[iv]
-                else:
-                    cu = np.repeat(ids_i, ids_j.size)
-                    cv = np.tile(ids_j, ids_i.size)
-            else:
-                cu, cv = _window_candidates(
-                    bands.angles[i - 1], ids_i, bands.angles[j - 1], ids_j, width
-                )
-                if i == j:
-                    keep = cu < cv
-                    cu, cv = cu[keep], cv[keep]
-            if cu.size == 0:
-                continue
+            lo, hi = arc_ranges(doubled[j - 1], centers - width, centers + width)
+            cu = np.repeat(ids_i, hi - lo)
+            cv = ids_j[concatenated_ranges(lo, hi - lo) % ids_j.size]
+            if i == j:
+                keep = cu < cv
+                cu, cv = cu[keep], cv[keep]
             hit = edge_mask(r[cu], phi[cu], r[cv], phi[cv], R)
-            if np.any(hit):
-                us_parts.append(cu[hit])
-                vs_parts.append(cv[hit])
-    us = np.concatenate(us_parts) if us_parts else np.empty(0, dtype=np.int64)
-    vs = np.concatenate(vs_parts) if vs_parts else np.empty(0, dtype=np.int64)
-    return Graph.from_edge_array(ps, us, vs)
+            us_parts.append(cu[hit])
+            vs_parts.append(cv[hit])
+    return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))

@@ -71,9 +71,11 @@ class PointSet:
                 f"fixed mode requires exactly n={self.params.n} points, got {r.size}"
             )
         if r.size:
-            if float(r.min()) < 0.0 or float(r.max()) > self.params.R:
+            # min and max propagate NaN, and every comparison with NaN is
+            # false, so a NaN coordinate fails these tests
+            if not (float(r.min()) >= 0.0 and float(r.max()) <= self.params.R):
                 raise ValueError("radius outside [0, R]")
-            if float(phi.min()) < 0.0 or float(phi.max()) >= TWO_PI:
+            if not (float(phi.min()) >= 0.0 and float(phi.max()) < TWO_PI):
                 raise ValueError("angle outside [0, 2*pi)")
         r.setflags(write=False)
         phi.setflags(write=False)

@@ -9,6 +9,7 @@ agreement) report p-values or margins and only fail below the 0.1% level.
 
 from __future__ import annotations
 
+import io
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ from scipy import stats
 
 from .analysis import (
     analyze_graph,
+    band_diagnostics,
     check_core_clique,
     check_underpass,
     component_report,
@@ -33,8 +35,9 @@ from .geometry import (
     theta_approx,
     theta_exact,
 )
+from .files import read_coords, read_edges, write_coords, write_edges
 from .graphgen import Graph, build_banded, build_naive, theta_upper
-from .sampling import radial_icdf, sample_fixed, sample_poisson
+from .sampling import disjointness_check, radial_icdf, sample_fixed, sample_poisson
 
 __all__ = ["CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK"]
 
@@ -260,8 +263,6 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
 def _report_band_constants(n: int, seed: int) -> CheckResult:
     """Informational: sector statistics for a range of inner-band
     constants, since the boundary constant is a configuration knob."""
-    from .analysis import band_diagnostics
-
     params = ModelParams(n, 0.75, 0.0)
     ps = sample_fixed(params, seed)
     parts = []
@@ -273,10 +274,6 @@ def _report_band_constants(n: int, seed: int) -> CheckResult:
 
 
 def _check_file_round_trip(seed: int) -> CheckResult:
-    import io
-
-    from .files import read_coords, read_edges, write_coords, write_edges
-
     ps = sample_fixed(ModelParams(500, 0.75, 0.0), seed)
     g = build_banded(ps)
     coord_buf = io.StringIO()
@@ -298,8 +295,6 @@ def _check_file_round_trip(seed: int) -> CheckResult:
 
 
 def _check_input_files(coords_path: str, edges_path: str) -> list[CheckResult]:
-    from .files import read_coords, read_edges
-
     with open(coords_path, "r", encoding="utf-8") as fh:
         ps = read_coords(fh)
     with open(edges_path, "r", encoding="utf-8") as fh:
@@ -386,8 +381,6 @@ def _check_poisson_moments(seed: int, trials: int) -> CheckResult:
 
 
 def _check_disjoint_independence(seed: int, trials: int) -> CheckResult:
-    from .sampling import disjointness_check
-
     params = ModelParams(100, 0.75, 0.0)
     corr = disjointness_check(
         lambda r, phi: phi < math.pi,

@@ -1,12 +1,15 @@
 """Tests for the graph builders: oracle equivalence, windows, speed."""
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import mp_distance
 
+from hrg import graphgen
 from hrg.geometry import ModelParams, edge_mask, theta_exact
 from hrg.graphgen import (
     BandIndex,
@@ -17,6 +20,8 @@ from hrg.graphgen import (
     theta_upper,
 )
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed, sample_poisson
+
+LAYERS = Path(__file__).resolve().parent.parent / "hrgbench" / "layers.py"
 
 
 def manual_pointset(params, radii, angles, mode=MODE_FIXED):
@@ -75,6 +80,41 @@ class TestBandedEquivalence:
         ps = manual_pointset(params, [], [], mode=MODE_POISSON)
         g = build_banded(ps)
         assert g.n == 0 and g.m == 0
+
+    def test_full_circle_window_holds_each_node_once(self):
+        # the first three radii fall in bands whose self-pair gets a window
+        # of half-width pi; at angles 0, pi and just below 2pi that window
+        # reaches one node from both ends of the doubled angle array
+        params = ModelParams(1000, 0.75, 0.0)
+        R = params.R
+        radii = [0.5, 0.7, 0.9, R - 0.2, R - 0.3, R / 2 + 0.1]
+        angles = [0.0, math.pi, np.nextafter(2 * math.pi, 0), math.pi, 0.0, math.pi / 2]
+        ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
+        assert theta_upper(layer_of_radius(0.5, R), layer_of_radius(0.5, R), R) == math.pi
+        assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+
+
+class TestCandidateCount:
+    @pytest.mark.parametrize(
+        "n, C, seed",
+        [(1, 0.0, 1), (2, 0.0, 1), (2**11, 0.0, 1), (2**14, 0.0, 3), (5000, -2.0, 2), (3000, 3.0, 5)],
+    )
+    def test_matches_benchmark_counter(self, monkeypatch, n, C, seed):
+        # the benchmark reports ``graphgen.candidates`` from outside the builder;
+        # this keeps that count equal to the pairs the builder really tests
+        spec = importlib.util.spec_from_file_location("hrgbench_layers", LAYERS)
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tested = []
+
+        def counting_edge_mask(r_a, phi_a, r_b, phi_b, R):
+            tested.append(np.size(r_a))
+            return edge_mask(r_a, phi_a, r_b, phi_b, R)
+
+        monkeypatch.setattr(graphgen, "edge_mask", counting_edge_mask)
+        ps = sample_fixed(ModelParams(n, 0.75, C), seed)
+        build_banded(ps)
+        assert sum(tested) == layers.candidate_counts(ps)[0]
 
 
 class TestThetaUpper:

@@ -149,6 +149,10 @@ class TestPointSetValidation:
             PointSet(params, np.array([params.R + 1.0]), np.array([0.0]), MODE_FIXED, 0)
         with pytest.raises(ValueError):
             PointSet(params, np.array([0.5]), np.array([TWO_PI]), MODE_FIXED, 0)
+        nan = float("nan")
+        for r, phi in (([nan, 1.0], [0.5, nan]), ([nan], [0.5]), ([1.0], [nan])):
+            with pytest.raises(ValueError):
+                PointSet(ModelParams(3, 0.75, 0.0), np.array(r), np.array(phi), MODE_POISSON, 0)
 
     def test_arrays_are_read_only(self):
         ps = sample_fixed(ModelParams(10, 0.75, 0.0), 0)
