@@ -280,10 +280,10 @@ def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
     n = params.n
     inner_mask = ps.r <= inner_band_radius(params, c)
     run = max_empty_sector_run(ps, c)
-    if n > 1:
-        k = min(n, int(math.ceil(math.log(n) ** (1.0 / (1.0 - params.alpha)))))
-    else:
-        k = 1
+    try:
+        k = min(n, int(math.ceil(math.log(n) ** (1.0 / (1.0 - params.alpha))))) if n > 1 else 1
+    except OverflowError:  # a power beyond the float range exceeds n
+        k = n
     if len(ps):
         counts = np.bincount(_sector_of(ps.phi, n), minlength=n)
         if k >= n:

@@ -89,8 +89,10 @@ class SweepConfig:
             raise ValueError("underpass_trials must be >= 0")
         if not math.isfinite(_real("inner_c", self.inner_c)):
             raise ValueError(f"inner_c must be finite, got {self.inner_c!r}")
-        # validates alpha > 0 and n >= 1 the same way a cell would
-        ModelParams(values[0], _real("alpha", self.alpha), _real("C", self.C))
+        # validates alpha > 0 and n >= 1 the same way a cell would; R grows with
+        # n, so R >= 0 binds at the smallest n and alpha * R < 700 at the largest
+        for n in (values[0], values[-1]):
+            ModelParams(n, _real("alpha", self.alpha), _real("C", self.C))
         if not self.alpha < 1.0:
             raise ValueError(f"need alpha < 1 for the inner band, got alpha={self.alpha!r}")
         object.__setattr__(self, "n_values", values)

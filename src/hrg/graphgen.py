@@ -4,9 +4,12 @@
 ``build_banded`` partitions the disc into unit-thickness annuli (bands),
 sorts each band by angle, and for every band pair tests only the
 candidates inside a certified angular window, which keeps the expected
-candidate count near-linear for 1/2 < alpha < 1. Central band pairs get a
-window of half-width pi, which is the whole band. Both builders evaluate
-the identical connection expression, so their edge sets agree exactly,
+candidate count near-linear for 1/2 < alpha < 1. Each node of the inner
+band of a pair looks up its window in the outer band, as bands shrink
+geometrically toward the centre in expectation, and the exact test reads
+band-local coordinate arrays. Central band pairs get a window of
+half-width pi, which is the whole band. Both builders evaluate the
+identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
 """
 
@@ -177,32 +180,37 @@ def build_banded(ps: PointSet) -> Graph:
     """Band/window builder; produces exactly the edge set of
     :func:`build_naive`.
 
-    For every band pair only nodes within an angular window of half-width
-    :func:`theta_upper` are tested exactly; a window of half-width pi is
-    the whole band. The window overestimates the true threshold, so no
-    edge is lost; the exact test discards the rest.
+    For every band pair (i <= j, band j the inner one) each node of band j
+    looks up the nodes of band i within an angular window of half-width
+    :func:`theta_upper`; a window of half-width pi is the whole band. Only
+    those candidates are tested exactly, on band-local radius and angle
+    arrays, and node ids are looked up for the edges alone. The window
+    overestimates the true threshold, so no edge is lost; the exact test
+    discards the rest.
     """
-    r, phi, R = ps.r, ps.phi, ps.params.R
+    R = ps.params.R
     bands = BandIndex.build(ps)
+    radii = [ps.r[ids] for ids in bands.ids]
     doubled = [np.concatenate((angles, angles + TWO_PI)) for angles in bands.angles]
     us_parts = [np.empty(0, dtype=np.int64)]
     vs_parts = [np.empty(0, dtype=np.int64)]
     for i in range(1, bands.count + 1):
-        ids_i, centers = bands.ids[i - 1], bands.angles[i - 1]
+        ids_i, r_i, phi_i = bands.ids[i - 1], radii[i - 1], bands.angles[i - 1]
         if ids_i.size == 0:
             continue
         for j in range(i, bands.count + 1):
-            ids_j = bands.ids[j - 1]
+            ids_j, r_j, phi_j = bands.ids[j - 1], radii[j - 1], bands.angles[j - 1]
             if ids_j.size == 0:
                 continue
             width = theta_upper(i, j, R)
-            lo, hi = arc_ranges(doubled[j - 1], centers - width, centers + width)
-            cu = np.repeat(ids_i, hi - lo)
-            cv = ids_j[concatenated_ranges(lo, hi - lo) % ids_j.size]
+            lo, hi = arc_ranges(doubled[i - 1], phi_j - width, phi_j + width)
+            # candidate pairs as band ranks: a in band j, b in band i
+            a = np.repeat(np.arange(ids_j.size), hi - lo)
+            b = concatenated_ranges(lo, hi - lo) % ids_i.size
             if i == j:
-                keep = cu < cv
-                cu, cv = cu[keep], cv[keep]
-            hit = edge_mask(r[cu], phi[cu], r[cv], phi[cv], R)
-            us_parts.append(cu[hit])
-            vs_parts.append(cv[hit])
+                keep = a < b
+                a, b = a[keep], b[keep]
+            hit = edge_mask(r_j[a], phi_j[a], r_i[b], phi_i[b], R)
+            us_parts.append(ids_j[a[hit]])
+            vs_parts.append(ids_i[b[hit]])
     return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))

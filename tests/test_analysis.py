@@ -1,6 +1,9 @@
 """Tests for structural analysis: components, diameter, degrees, bands,
 forced-edge checks."""
 
+import contextlib
+import io
+import json
 import math
 from collections import deque
 
@@ -25,6 +28,7 @@ from hrg.analysis import (
     inner_band_radius,
     max_empty_sector_run,
 )
+from hrg.cli import main
 from hrg.geometry import ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
@@ -337,6 +341,17 @@ class TestSectorRuns:
         assert diag.inner_mask.size == len(ps)
         assert diag.window_k == min(1000, math.ceil(math.log(1000) ** 4))
         assert 0 <= diag.max_nodes_in_window <= len(ps)
+
+    def test_window_k_saturates_near_alpha_one(self, tmp_path):
+        # (ln 1000) ** 1000 exceeds the float range; the window is then all n
+        coords, edges, report = (str(tmp_path / name) for name in ("c.tsv", "e.tsv", "r.json"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            generated = main(["generate", "--n", "1000", "--alpha", "0.999", "--seed", "1",
+                              "--out-coords", coords, "--out-edges", edges])
+            analyzed = main(["analyze", "--coords", coords, "--edges", edges, "--report", report])
+        assert (generated, analyzed) == (0, 0)
+        with open(report) as stream:
+            assert json.load(stream)["bands"]["window_k"] == 1000
 
 
 class TestUnderpass:

@@ -332,6 +332,10 @@ class TestSweep:
         assert "nan" in lines[1]
         assert "failed" in capsys.readouterr().err
 
+    def test_alpha_near_one_cell_runs(self):
+        [record] = run_sweep(SweepConfig(n_values=(1000,), alpha=0.999, C=0.0, seeds=1))
+        assert not record.failed, record.error
+
     def test_bad_config_exit_code(self, tmp_path):
         for overrides in [
             {"n_values": [2048, 1024]},
@@ -351,6 +355,7 @@ class TestSweep:
             {"C": "0"},
             {"out_csv": 1},
             {"out_csv": "x.csv"},
+            {"n_values": [10, 1000], "alpha": 0.99, "C": 695.0},
         ]:
             config = self.make_config(tmp_path, **overrides)
             assert run_cli(["sweep", "--config", str(config)]) == 2, overrides

@@ -128,6 +128,20 @@ class TestEdgeIndicator:
         via_distance = pair_distances(r1, phi1, r2, phi2) <= R
         assert np.array_equal(via_mask, via_distance)
 
+    def test_symmetric_at_the_threshold(self):
+        # the band/window builder may pass either endpoint first, so the
+        # verdict must not depend on the order even at the threshold angle
+        R = ModelParams(10_000, 0.75, 0.0).R
+        rng = np.random.default_rng(30)
+        r = rng.uniform(R / 2, R, 10_000)
+        y = rng.uniform(R / 2, R, 10_000)
+        theta = theta_exact(r, y, R)
+        for k in (-2, -1, 0, 1, 2):
+            angle = theta + k * np.spacing(theta)
+            forward = edge_mask(r, 0.0, y, angle, R)
+            assert np.array_equal(forward, edge_mask(y, angle, r, 0.0, R))
+            assert 0 < np.count_nonzero(forward) < forward.size
+
 
 class TestThetaExact:
     def test_central_nodes_connect_at_any_angle(self):

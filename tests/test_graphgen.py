@@ -93,6 +93,42 @@ class TestBandedEquivalence:
         assert theta_upper(layer_of_radius(0.5, R), layer_of_radius(0.5, R), R) == math.pi
         assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
 
+    def test_inner_band_larger_than_outer(self):
+        # band sizes fall off toward the centre only in expectation: here the
+        # 40 nodes of band 5 look up their windows among the 3 nodes of band 3,
+        # at angles within 1e-12 of the window edges and of the exact
+        # threshold, on both sides of 0 = 2pi
+        params = ModelParams(1000, 0.75, 0.0)
+        R = params.R
+        width = theta_upper(3, 5, R)
+        assert width < 0.2
+        # radii near the bands' inner edges put the threshold near the window edge
+        outer_r = R - 3 + np.array([1e-9, 0.05, 0.3])
+        outer_phi = np.array([0.0, math.pi, np.nextafter(2 * math.pi, 0)])
+        rng = np.random.default_rng(31)
+        inner_r = R - 5 + rng.uniform(1e-9, 1e-3, 39)
+        # per outer node: 13 inner nodes at -+width and -+threshold, each
+        # nudged by -1e-12, 0 and 1e-12, and one at the outer node's angle
+        center = np.repeat(np.arange(3), 13)
+        sign = np.tile([-1] * 3 + [1] * 3 + [-1] * 3 + [1] * 3 + [0], 3)
+        threshold = theta_exact(outer_r[center], inner_r, R)
+        reach = np.where(np.tile(np.arange(13) < 6, 3), width, threshold)
+        nudge = np.tile([-1e-12, 0.0, 1e-12] * 4 + [0.0], 3)
+        inner_phi = np.mod(outer_phi[center] + sign * reach + nudge, 2 * math.pi)
+        inner_r, inner_phi = np.append(inner_r, R - 4.5), np.append(inner_phi, 2.0)
+        radii, angles = np.concatenate((outer_r, inner_r)), np.concatenate((outer_phi, inner_phi))
+        ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
+        assert [ids.size for ids in BandIndex.build(ps).ids[2:5]] == [3, 0, 40]
+        banded = build_banded(ps)
+        assert np.array_equal(banded.edges, build_naive(ps).edges)
+        assert np.count_nonzero(banded.edges[:, 0] < 3) > 0
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.65, 0.85])
+    @pytest.mark.parametrize("C", [-1.0, 2.0])
+    def test_matches_naive_across_alpha(self, alpha, C):
+        ps = sample_fixed(ModelParams(2000, alpha, C), 32)
+        assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+
 
 class TestCandidateCount:
     @pytest.mark.parametrize(
