@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from ._util import arc_ranges, concatenated_ranges
@@ -68,14 +67,12 @@ def bfs_distances(g: Graph, sources) -> np.ndarray:
 
 def connected_components(g: Graph) -> np.ndarray:
     """Component label per node; the label is the smallest node id the
-    component contains, which makes the labeling deterministic."""
+    component contains, which makes the labeling deterministic. Strong
+    components of the symmetric CSR are its connected components, and
+    scipy finds them without the transposed copy its undirected mode makes."""
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
-    mat = csr_matrix(
-        (np.ones(g.indices.size, dtype=np.int8), g.indices, g.indptr),
-        shape=(g.n, g.n),
-    )
-    count, raw = _scipy_components(mat, directed=False)
+    count, raw = _scipy_components(g.adjacency(), directed=True, connection="strong")
     first = np.full(count, g.n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(g.n, dtype=np.int64))
     return first[raw]

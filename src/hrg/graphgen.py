@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from ._util import arc_ranges, concatenated_ranges
 from .geometry import TWO_PI, edge_mask
@@ -77,6 +78,11 @@ class Graph:
 
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def adjacency(self) -> csr_matrix:
+        """The CSR adjacency as a scipy sparse matrix with unit entries."""
+        data = np.ones(self.indices.size, dtype=np.int8)
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @classmethod
     def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":

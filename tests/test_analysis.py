@@ -9,6 +9,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import apsp_eccentricities
 
 from hrg import analysis
 from hrg.analysis import (
@@ -32,6 +33,7 @@ from hrg.cli import main
 from hrg.geometry import ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
+from hrg.verify import _apsp_diameter
 
 
 def manual_graph(params, radii, angles, edge_pairs):
@@ -79,24 +81,6 @@ def oracle_labels(g):
                     labels[v] = start
                     queue.append(v)
     return np.asarray(labels)
-
-
-def oracle_diameter(g, nodes):
-    """Independent all-pairs BFS diameter."""
-    best = 0
-    nodes = [int(v) for v in nodes]
-    for s in nodes:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        best = max(best, max(dist.values()))
-    return best
 
 
 class TestConnectedComponents:
@@ -152,7 +136,7 @@ class TestExactDiameter:
             nodes = np.flatnonzero(report.labels == report.giant_label)
             if nodes.size < 2:
                 continue
-            assert exact_diameter(g, nodes) == oracle_diameter(g, nodes)
+            assert exact_diameter(g, nodes) == apsp_eccentricities(g)[nodes].max()
             checked += 1
 
 
@@ -193,10 +177,11 @@ class TestComponentReport:
             return bfs(graph, sources)
 
         monkeypatch.setattr(analysis, "bfs_distances", counted)
+        eccentricities = apsp_eccentricities(g)
         per_component = []
         for nodes, diameter in UNION_COMPONENTS:
             rounds.clear()
-            assert exact_diameter(g, nodes) == diameter == oracle_diameter(g, nodes)
+            assert exact_diameter(g, nodes) == diameter == eccentricities[nodes].max()
             per_component.append(len(rounds))
         # root BFS, double sweep, then one fringe node per round until the stop
         assert per_component == [3, 2, 5, 4, 2]
@@ -220,9 +205,9 @@ class TestComponentReport:
             report = component_report(g)
             labels = oracle_labels(g)
             uniq, counts = np.unique(labels, return_counts=True)
+            eccentricities = apsp_eccentricities(g)
             diameters = {
-                int(label): oracle_diameter(g, np.nonzero(labels == label)[0])
-                for label in uniq
+                int(label): eccentricities[labels == label].max() for label in uniq
             }
             giant = int(uniq[np.lexsort((uniq, -counts))[0]])
             assert report.sizes == sorted(counts.tolist(), reverse=True)
@@ -231,23 +216,28 @@ class TestComponentReport:
             assert report.max_component_diameter == max(diameters.values())
 
 
+def networkx_graph_pairs(nx):
+    """(graph, networkx twin) pairs: 20 random multi-component graphs."""
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(1, 80))
+        # mean degree 0.5..3 spans dust, small trees and one giant
+        pairs = rng.integers(0, n, size=(int(rng.uniform(0.25, 1.5) * n), 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        pairs = rng.permutation(pairs)
+        swap = rng.random(len(pairs)) < 0.5
+        pairs[swap] = pairs[swap][:, ::-1]
+        g = manual_graph(ModelParams(n, 0.75, 0.0), [0.0] * n, [0.0] * n, pairs)
+        reference = nx.Graph()
+        reference.add_nodes_from(range(n))
+        reference.add_edges_from(pairs.tolist())
+        yield g, reference
+
+
 class TestNetworkxCrossCheck:
     def test_components_and_diameters(self):
         nx = pytest.importorskip("networkx")
-        rng = np.random.default_rng(41)
-        for trial in range(20):
-            n = int(rng.integers(1, 80))
-            # mean degree 0.5..3 spans dust, small trees and one giant
-            pairs = rng.integers(0, n, size=(int(rng.uniform(0.25, 1.5) * n), 2))
-            pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
-            pairs = rng.permutation(pairs)
-            swap = rng.random(len(pairs)) < 0.5
-            pairs[swap] = pairs[swap][:, ::-1]
-            g = manual_graph(ModelParams(n, 0.75, 0.0), [0.0] * n, [0.0] * n, pairs)
-            reference = nx.Graph()
-            reference.add_nodes_from(range(n))
-            reference.add_edges_from(pairs.tolist())
-
+        for g, reference in networkx_graph_pairs(nx):
             report = component_report(g)
             components = sorted(
                 (sorted(c) for c in nx.connected_components(reference)),
@@ -261,6 +251,26 @@ class TestNetworkxCrossCheck:
             assert report.giant_label == components[0][0]
             assert report.giant_diameter == diameters[0]
             assert report.max_component_diameter == max(diameters)
+
+
+class TestApspOracle:
+    """The all-pairs oracle that ``hrg verify`` holds iFUB against."""
+
+    def test_known_components(self):
+        g = disjoint_union_graph()
+        for nodes, diameter in UNION_COMPONENTS:
+            assert _apsp_diameter(g, np.asarray(nodes)) == diameter
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError):
+            _apsp_diameter(disjoint_union_graph(), np.array([0, 7]))
+
+    def test_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g, reference in networkx_graph_pairs(nx):
+            for component in nx.connected_components(reference):
+                nodes = np.array(sorted(component))
+                assert _apsp_diameter(g, nodes) == nx.diameter(reference.subgraph(component))
 
 
 class TestDegreeStats:
