@@ -262,10 +262,10 @@ def max_empty_sector_run(ps: PointSet, c: float = 1.0) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BandDiagnostics:
-    """Per-node inner-band membership plus sector occupancy summaries."""
+    """Inner-band node count plus sector occupancy summaries."""
 
     inner_c: float
-    inner_mask: np.ndarray
+    inner_count: int
     sectors: int
     max_empty_sector_run: int
     window_k: int
@@ -275,7 +275,7 @@ class BandDiagnostics:
 def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
     params = ps.params
     n = params.n
-    inner_mask = ps.r <= inner_band_radius(params, c)
+    inner_count = int(np.count_nonzero(ps.r <= inner_band_radius(params, c)))
     run = max_empty_sector_run(ps, c)
     try:
         k = min(n, int(math.ceil(math.log(n) ** (1.0 / (1.0 - params.alpha))))) if n > 1 else 1
@@ -293,7 +293,7 @@ def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
         max_window = 0
     return BandDiagnostics(
         inner_c=c,
-        inner_mask=inner_mask,
+        inner_count=inner_count,
         sectors=n,
         max_empty_sector_run=run,
         window_k=k,
@@ -368,8 +368,9 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
 def check_core_clique(g: Graph) -> bool:
     """True iff every pair of nodes with radius <= R/2 is adjacent: the k core
     nodes' (duplicate-free) neighbor lists then hold k(k-1) core entries."""
-    core = g.pointset.r <= g.pointset.params.R / 2.0
-    ids = np.nonzero(core)[0]
+    ids = core_node_ids(g)
+    core = np.zeros(g.n, dtype=bool)
+    core[ids] = True
     nbrs = g.indices[concatenated_ranges(g.indptr[ids], g.degrees[ids])]
     return int(np.count_nonzero(core[nbrs])) == ids.size * (ids.size - 1)
 

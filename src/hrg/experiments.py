@@ -16,6 +16,7 @@ import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TextIO
 
 from .analysis import analyze_graph, check_underpass
@@ -25,21 +26,20 @@ from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
 
 __all__ = ["SweepConfig", "SweepRecord", "run_sweep", "write_sweep_csv", "CSV_COLUMNS"]
 
-CSV_COLUMNS = [
-    "n",
-    "seed",
-    "R",
-    "m",
-    "mean_degree",
-    "beta_hat",
-    "giant_size",
-    "second_size",
-    "giant_diameter",
-    "max_empty_run",
-    "inner_band_hops",
-    "gen_ms",
-    "analysis_ms",
-]
+# The analysis columns of a sweep row in CSV order, each with its reader of
+# the cell's GraphAnalysis. A new column is one entry here plus one
+# SweepRecord field of the same name.
+ANALYSIS_COLUMNS = {
+    "mean_degree": attrgetter("degrees.mean_degree"),
+    "beta_hat": attrgetter("degrees.beta_hat"),
+    "giant_size": attrgetter("components.giant_size"),
+    "second_size": attrgetter("components.second_size"),
+    "giant_diameter": attrgetter("components.giant_diameter"),
+    "max_empty_run": attrgetter("bands.max_empty_sector_run"),
+    "inner_band_hops": attrgetter("reach.max_hops"),
+}
+
+CSV_COLUMNS = ["n", "seed", "R", "m", *ANALYSIS_COLUMNS, "gen_ms", "analysis_ms"]
 
 
 def _integer(name: str, value) -> int:
@@ -113,8 +113,8 @@ class SweepConfig:
 
 @dataclass
 class SweepRecord:
-    """One (n, seed) cell. CSV columns plus bookkeeping fields that do not
-    go into the table."""
+    """One (n, seed) cell. CSV columns, the analysis ones filled from
+    ``ANALYSIS_COLUMNS``, plus bookkeeping fields that do not go into the table."""
 
     n: int
     seed: int
@@ -134,7 +134,6 @@ class SweepRecord:
     core_clique: bool = True
     core_in_giant: bool = True
     core_size: int = 0
-    inner_anomalies: int = 0
     failed: bool = False
     error: str = ""
 
@@ -164,14 +163,8 @@ def _run_cell(config: SweepConfig, n: int, seed: int) -> SweepRecord:
         record.m = float(g.m)
         t1 = time.perf_counter()
         result = analyze_graph(g, config.inner_c)
-        record.mean_degree = result.degrees.mean_degree
-        record.beta_hat = result.degrees.beta_hat
-        record.giant_size = float(result.components.giant_size)
-        record.second_size = float(result.components.second_size)
-        record.giant_diameter = float(result.components.giant_diameter)
-        record.max_empty_run = float(result.bands.max_empty_sector_run)
-        record.inner_band_hops = float(result.reach.max_hops)
-        record.inner_anomalies = result.reach.anomalies
+        for name, read in ANALYSIS_COLUMNS.items():
+            setattr(record, name, float(read(result)))
         record.core_size = result.core_size
         record.core_clique = result.core_clique
         record.core_in_giant = result.core_in_giant

@@ -270,8 +270,8 @@ def build_report(g: Graph, inner_c: float = 1.0) -> dict:
         },
         "bands": {
             "inner_c": bands.inner_c,
-            "inner_count": int(np.count_nonzero(bands.inner_mask)),
-            "outer_count": int(len(ps) - np.count_nonzero(bands.inner_mask)),
+            "inner_count": bands.inner_count,
+            "outer_count": len(ps) - bands.inner_count,
             "sectors": bands.sectors,
             "max_empty_sector_run": bands.max_empty_sector_run,
             "window_k": bands.window_k,

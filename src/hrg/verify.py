@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from .analysis import (
     analyze_graph,
-    band_diagnostics,
     check_core_clique,
     check_underpass,
     component_report,
@@ -250,19 +249,6 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
     ]
 
 
-def _report_band_constants(n: int, seed: int) -> CheckResult:
-    """Informational: sector statistics for a range of inner-band
-    constants, since the boundary constant is a configuration knob."""
-    params = ModelParams(n, 0.75, 0.0)
-    ps = sample_fixed(params, seed)
-    parts = []
-    for c in (0.5, 1.0, 2.0):
-        diag = band_diagnostics(ps, c)
-        inner = int(np.count_nonzero(diag.inner_mask))
-        parts.append(f"c={c}: inner={inner} max_empty_run={diag.max_empty_sector_run}")
-    return _det("analysis/band-constants", True, "; ".join(parts))
-
-
 def _check_file_round_trip(seed: int) -> CheckResult:
     ps = sample_fixed(ModelParams(500, 0.75, 0.0), seed)
     g = build_banded(ps)
@@ -442,7 +428,6 @@ def run_verify(
             2000 if quick else 10_000, 10_000 if quick else 100_000, seed
         )
     )
-    results.append(_report_band_constants(2000 if quick else 50_000, seed))
     results.append(_check_file_round_trip(seed))
     if coords and edges:
         results.extend(_check_input_files(coords, edges))

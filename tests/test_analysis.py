@@ -313,7 +313,7 @@ class TestLayersAndBands:
         bound = inner_band_radius(params, c=1.0)
         assert bound == pytest.approx(20.0 - math.log(20.0) / 0.25 - 1.0, abs=0.01)
         ps = PointSet(params, np.array([0.0, bound + 0.1]), np.zeros(2), MODE_POISSON, 0)
-        assert band_diagnostics(ps, c=1.0).inner_mask.tolist() == [True, False]
+        assert band_diagnostics(ps, c=1.0).inner_count == 1
 
     def test_inner_band_needs_alpha_below_one(self):
         with pytest.raises(ValueError):
@@ -348,7 +348,7 @@ class TestSectorRuns:
         ps = sample_fixed(params, 26)
         diag = band_diagnostics(ps, 1.0)
         assert diag.sectors == 1000
-        assert diag.inner_mask.size == len(ps)
+        assert 0 <= diag.inner_count <= len(ps)
         assert diag.window_k == min(1000, math.ceil(math.log(1000) ** 4))
         assert 0 <= diag.max_nodes_in_window <= len(ps)
 

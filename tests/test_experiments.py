@@ -26,6 +26,13 @@ from hrg.graphgen import build_banded
 from hrg.sampling import sample_fixed
 
 
+# The frozen v1 sweep header, as the README documents it.
+V1_HEADER = (
+    "n,seed,R,m,mean_degree,beta_hat,giant_size,second_size,giant_diameter,"
+    "max_empty_run,inner_band_hops,gen_ms,analysis_ms"
+)
+
+
 def run_cli(args):
     try:
         return main(list(args))
@@ -284,7 +291,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        assert lines[0] == V1_HEADER == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + 6
 
     def test_deterministic_modulo_timings(self, tmp_path):
@@ -320,17 +327,27 @@ class TestSweep:
         assert abs(large / small - 2.0) <= 0.15 * 2.0
 
     def test_failed_cell_marks_row_and_exit(self, tmp_path, capsys, monkeypatch):
-        def broken_builder(ps):
-            raise RuntimeError("builder fault")
+        def broken(*args):
+            raise RuntimeError("injected fault")
 
-        monkeypatch.setattr("hrg.experiments.build_banded", broken_builder)
         config = self.make_config(tmp_path, n_values=[64, 128], seeds=1, jobs=1)
         out = tmp_path / "sweep.csv"
-        assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 1
-        lines = out.read_text().splitlines()
-        assert len(lines) == 3
-        assert "nan" in lines[1]
-        assert "failed" in capsys.readouterr().err
+        # the columns a fault at each stage leaves set; every other one reads nan
+        for target, kept in [
+            ("build_banded", {"n", "seed", "R"}),
+            ("analyze_graph", {"n", "seed", "R", "m", "gen_ms"}),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(f"hrg.experiments.{target}", broken)
+                assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 1
+            lines = out.read_text().splitlines()
+            assert len(lines) == 3
+            for line in lines[1:]:
+                cells = line.split(",")
+                assert len(cells) == len(CSV_COLUMNS)
+                for name, cell in zip(CSV_COLUMNS, cells):
+                    assert (cell == "nan") == (name not in kept), (target, name, cell)
+            assert "failed" in capsys.readouterr().err
 
     def test_alpha_near_one_cell_runs(self):
         [record] = run_sweep(SweepConfig(n_values=(1000,), alpha=0.999, C=0.0, seeds=1))
