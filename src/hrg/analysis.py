@@ -239,6 +239,11 @@ def core_node_ids(g: Graph) -> np.ndarray:
     return np.nonzero(ps.r <= ps.params.R / 2.0)[0]
 
 
+def _in_inner_band(ps: PointSet, c: float) -> np.ndarray:
+    """Mask of the nodes with radius at most ``inner_band_radius(params, c)``."""
+    return ps.r <= inner_band_radius(ps.params, c)
+
+
 def _sector_of(phi: np.ndarray, n: int) -> np.ndarray:
     """Index of the angle's sector, out of n equal sectors of the circle."""
     return np.minimum((phi / TWO_PI * n).astype(np.int64), n - 1)
@@ -249,7 +254,7 @@ def max_empty_sector_run(ps: PointSet, c: float = 1.0) -> int:
     sectors, where a sector counts as empty when it holds no inner-band
     node."""
     n = ps.params.n
-    inner_phi = ps.phi[ps.r <= inner_band_radius(ps.params, c)]
+    inner_phi = ps.phi[_in_inner_band(ps, c)]
     if inner_phi.size == 0:
         return n
     occupied = np.unique(_sector_of(inner_phi, n))
@@ -275,22 +280,17 @@ class BandDiagnostics:
 def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
     params = ps.params
     n = params.n
-    inner_count = int(np.count_nonzero(ps.r <= inner_band_radius(params, c)))
+    inner_count = int(np.count_nonzero(_in_inner_band(ps, c)))
     run = max_empty_sector_run(ps, c)
     try:
         k = min(n, int(math.ceil(math.log(n) ** (1.0 / (1.0 - params.alpha))))) if n > 1 else 1
     except OverflowError:  # a power beyond the float range exceeds n
         k = n
-    if len(ps):
-        counts = np.bincount(_sector_of(ps.phi, n), minlength=n)
-        if k >= n:
-            max_window = int(counts.sum())
-        else:
-            doubled = np.concatenate((counts, counts[: k - 1]))
-            sums = np.cumsum(np.concatenate(([0], doubled)))
-            max_window = int((sums[k:] - sums[:-k]).max())
-    else:
-        max_window = 0
+    # the fullest window starts at some point's sector: count from each, over
+    # the circle, in work sized by the points (a Poisson file's n may be far larger)
+    sectors = np.sort(_sector_of(ps.phi, n))
+    ends = np.searchsorted(np.concatenate((sectors, sectors + n)), sectors + k)
+    max_window = int(np.minimum(ends - np.arange(sectors.size), sectors.size).max(initial=0))
     return BandDiagnostics(
         inner_c=c,
         inner_count=inner_count,
@@ -391,7 +391,7 @@ def inner_band_hops(g: Graph, c: float = 1.0) -> InnerBandReach:
     is empty, are counted as anomalies rather than failures; the implied
     bound on inner-band pairwise distances is 2 * max + 1.
     """
-    inner = np.nonzero(g.pointset.r <= inner_band_radius(g.pointset.params, c))[0]
+    inner = np.nonzero(_in_inner_band(g.pointset, c))[0]
     hops = bfs_distances(g, core_node_ids(g))[inner]
     reachable = hops[hops >= 0]
     return InnerBandReach(

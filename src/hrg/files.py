@@ -14,7 +14,7 @@ import io
 import json
 import math
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from typing import TextIO
 
 import numpy as np
@@ -39,7 +39,11 @@ REPORT_SCHEMA = 1
 # Rows the writers format per ``write``: bounds the text held at once.
 WRITE_BLOCK = 1 << 16
 
+# The data rows of each TSV format: dtype, delimiter (None: any whitespace),
+# the layout a column-count error names, and the number of the first line.
 _COORD_ROW = np.dtype([("id", np.int64), ("r", np.float64), ("phi", np.float64)])
+_COORD_ROWS = (_COORD_ROW, "\t", "<id>\\t<r>\\t<phi>", 2)
+_EDGE_ROWS = (np.dtype([("a", np.int64), ("b", np.int64)]), None, "<id>\\t<id>", 1)
 
 
 class DataFormatError(Exception):
@@ -94,46 +98,23 @@ def read_coords(stream: TextIO) -> PointSet:
     if not header:
         raise DataFormatError("empty coordinate file", 1)
     params, seed, mode = _parse_header(header)
-    stream, start, rows = _load_rows(stream, _COORD_ROW, "\t", ndmin=1)
-    if (
-        rows is not None
-        and np.array_equal(rows["id"], np.arange(rows.size))
-        # the domain test of _parse_coord_lines, also false for NaN
-        and np.all((rows["r"] >= 0.0) & (rows["r"] <= params.R))
-        and np.all((rows["phi"] >= 0.0) & (rows["phi"] < TWO_PI))
-    ):
-        radii, angles = rows["r"], rows["phi"]
-    else:
-        stream.seek(start)
-        radii, angles = _parse_coord_lines(stream, params.R)
+    (ids, radii, angles), refusal, line_of = _load_rows(stream, _COORD_ROWS)
+    unsequenced = ids != np.arange(ids.size)
+    # the domain test, also true for NaN
+    outside = ~((radii >= 0.0) & (radii <= params.R) & (angles >= 0.0) & (angles < TWO_PI))
+    bad = unsequenced | outside
+    if bad.any():
+        i = int(bad.argmax())
+        if unsequenced[i]:
+            raise DataFormatError(f"ids must be sequential from 0, got {ids[i]}", line_of(i))
+        r, phi = float(radii[i]), float(angles[i])
+        raise DataFormatError(f"point {i} ({r!r}, {phi!r}) not in [0, R] x [0, 2pi)", line_of(i))
+    if refusal is not None:
+        raise refusal
     try:
         return PointSet(params, radii, angles, mode, seed)
     except ValueError as exc:
         raise DataFormatError(str(exc), 1) from None
-
-
-def _parse_coord_lines(stream: TextIO, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Line-by-line coordinate rows after the header; the validator of
-    record, whose error names the first offending line."""
-    radii = []
-    angles = []
-    for line_no, line in enumerate(stream, start=2):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataFormatError("expected '<id>\\t<r>\\t<phi>'", line_no)
-        try:
-            idx, r, phi = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line_no) from None
-        if idx != len(radii):
-            raise DataFormatError(f"ids must be sequential from 0, got {idx}", line_no)
-        if not (0.0 <= r <= R and 0.0 <= phi < TWO_PI):  # also false for NaN
-            raise DataFormatError(f"point {idx} ({r!r}, {phi!r}) not in [0, R] x [0, 2pi)", line_no)
-        radii.append(r)
-        angles.append(phi)
-    return np.asarray(radii, dtype=float), np.asarray(angles, dtype=float)
 
 
 def write_edges(stream: TextIO, g: Graph) -> None:
@@ -146,81 +127,93 @@ def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     """Parse and validate an edge list against a known point count.
 
     Rejects references to missing ids, self-loops, and duplicate edges;
-    the error names the offending line. Rows come back in file order as
-    (min id, max id).
+    the error names the first offending line. Rows come back in file order
+    as (min id, max id).
     """
-    stream, start, rows = _load_rows(stream, np.int64, None, ndmin=2)
-    if rows is not None and rows.shape[1] == 2:
-        lo, hi = np.minimum(rows[:, 0], rows[:, 1]), np.maximum(rows[:, 0], rows[:, 1])
-        if lo.min() >= 0 and hi.max() < point_count and np.all(lo != hi):
-            keys = np.sort(lo * point_count + hi)
-            if not np.any(keys[1:] == keys[:-1]):
-                return np.column_stack((lo, hi))
-    stream.seek(start)
-    return _parse_edge_lines(stream, point_count)
+    (a, b), refusal, line_of = _load_rows(stream, _EDGE_ROWS)
+    a_missing, b_missing = ((ids < 0) | (ids >= point_count) for ids in (a, b))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    loop = lo == hi
+    bad = a_missing | b_missing | loop
+    keys = lo * point_count + hi
+    ordered = np.sort(keys)
+    repeats = ordered[1:] == ordered[:-1]
+    if repeats.any():
+        # a stable sort keeps equal keys in file order: mark each repeat
+        bad[np.argsort(keys, kind="stable")[1:][repeats]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        if a_missing[i] or b_missing[i]:
+            node = a[i] if a_missing[i] else b[i]
+            message = f"edge references missing id {node} (have {point_count} points)"
+        elif loop[i]:
+            message = f"self-loop at id {a[i]}"
+        else:
+            message = f"duplicate edge {(int(lo[i]), int(hi[i]))}"
+        raise DataFormatError(message, line_of(i))
+    if refusal is not None:
+        raise refusal
+    return np.column_stack((lo, hi)).astype(np.int64, copy=False)
 
 
-def _parse_edge_lines(stream: TextIO, point_count: int) -> np.ndarray:
-    """Line-by-line edge rows; the validator of record, whose error names
-    the first offending line."""
-    seen = set()
-    rows = []
-    for line_no, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise DataFormatError("expected '<id>\\t<id>'", line_no)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line_no) from None
-        for node in (a, b):
-            if node < 0 or node >= point_count:
-                raise DataFormatError(
-                    f"edge references missing id {node} (have {point_count} points)",
-                    line_no,
-                )
-        if a == b:
-            raise DataFormatError(f"self-loop at id {a}", line_no)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise DataFormatError(f"duplicate edge {key}", line_no)
-        seen.add(key)
-        rows.append(key)
-    if not rows:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(rows, dtype=np.int64)
+def _load_rows(stream: TextIO, row_format: tuple):
+    """The rows of the rest of ``stream``, one array per field of the
+    format's dtype.
 
-
-def _load_rows(
-    stream: TextIO, dtype, delimiter: str | None, ndmin: int
-) -> tuple[TextIO, int, np.ndarray | None]:
-    """Parse the rest of ``stream`` with one ``np.loadtxt``.
-
-    Returns ``(stream, start, rows)``. ``stream`` is the given one, or an
-    in-memory copy of its rest when it cannot seek (as a pipe cannot);
-    seeking it to ``start`` lets the line parser read the rows again.
-    ``rows`` is None when only blank lines remain or numpy refuses the
-    text. numpy accepts a subset of what ``int()``/``float()`` accept (not
-    ``1_0`` or non-ASCII digits) and parses it to the same values. A
-    warning counts as a refusal: numpy 1.x reads ``1.0`` into an int
-    column with only a DeprecationWarning.
+    Returns ``(columns, refusal, line_of)`` and checks no rule. One
+    ``np.loadtxt`` reads the text if numpy takes all of it: numpy takes a
+    subset of what ``int()``/``float()`` take (not ``1_0`` or non-ASCII
+    digits), to the same values, and a warning counts as a refusal (numpy
+    1.x reads ``1.0`` into an int column with a DeprecationWarning). Else
+    :func:`_convert_lines` reads the rows, and ``refusal`` is the error of
+    the line it stopped at, for the reader to raise if no earlier row fails
+    a rule. ``line_of(i)`` reads the stream again for the number of row
+    i's line. A pipe is copied into memory first.
     """
+    dtype, delimiter, _, first_line = row_format
     if not stream.seekable():
         stream = io.StringIO(stream.read())
     start = stream.tell()
+
+    def line_of(row: int) -> int:
+        stream.seek(start)
+        numbered = (no for no, line in enumerate(stream, first_line) if line.strip())
+        return next(islice(numbered, row, None))
+
+    rows, refusal = np.empty(0, dtype), None
     # no rows: skip numpy, which would warn "input contained no data"
-    if not any(line.strip() for line in iter(stream.readline, "")):
-        return stream, start, None
-    stream.seek(start)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    if any(line.strip() for line in iter(stream.readline, "")):
+        stream.seek(start)
         try:
-            rows = np.loadtxt(stream, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(stream, dtype=dtype, delimiter=delimiter, comments=None, ndmin=1)
         except (ValueError, Warning):
-            rows = None
-    return stream, start, rows
+            stream.seek(start)
+            rows, refusal = _convert_lines(stream, row_format)
+    return [rows[name] for name in dtype.names], refusal, line_of
+
+
+def _convert_lines(stream: TextIO, row_format: tuple) -> tuple[np.ndarray, DataFormatError | None]:
+    """Rows of the non-blank lines up to the first one whose column count
+    or ``int()``/``float()`` fails, and that line's error (None if none
+    fails). Int fields hold Python ints, exact beyond int64."""
+    dtype, delimiter, layout, first_line = row_format
+    kinds = [int if dtype[name].kind == "i" else float for name in dtype.names]
+    values, refusal = [], None
+    for line_no, line in enumerate(stream, first_line):
+        if not line.strip():
+            continue
+        parts = line.split(delimiter)
+        try:
+            if len(parts) != len(kinds):
+                raise ValueError(f"expected '{layout}'")
+            values.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
+        except ValueError as exc:
+            refusal = DataFormatError(str(exc), line_no)
+            break
+    exact = [(name, object if kind is int else float) for name, kind in zip(dtype.names, kinds)]
+    return np.array(values, dtype=exact), refusal
 
 
 def _finite_or_none(x: float):

@@ -30,7 +30,7 @@ from hrg.analysis import (
     max_empty_sector_run,
 )
 from hrg.cli import main
-from hrg.geometry import ModelParams
+from hrg.geometry import TWO_PI, ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
 from hrg.verify import _apsp_diameter
@@ -351,6 +351,22 @@ class TestSectorRuns:
         assert 0 <= diag.inner_count <= len(ps)
         assert diag.window_k == min(1000, math.ceil(math.log(1000) ** 4))
         assert 0 <= diag.max_nodes_in_window <= len(ps)
+
+    def test_max_nodes_in_window_against_histogram(self):
+        # alpha = 0.5 gives k = ceil((ln n)^2), below n from n = 100 on
+        def oracle(phi, n, k):
+            counts = np.bincount(np.minimum((phi / TWO_PI * n).astype(int), n - 1), minlength=n)
+            return max(sum(counts[(j + t) % n] for t in range(k)) for j in range(n))
+
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 100, 300):
+            params = ModelParams(n, 0.5, 0.0)
+            for count in (0, 1, n // 2, 3 * n):
+                # a few clusters of equal angles, to fill some sectors twice
+                phi = rng.choice(rng.uniform(0.0, TWO_PI, size=max(1, count // 4)), size=count)
+                ps = PointSet(params, np.zeros(count), phi, MODE_POISSON, 0)
+                diag = band_diagnostics(ps, 1.0)
+                assert diag.max_nodes_in_window == oracle(phi, n, diag.window_k), (n, count)
 
     def test_window_k_saturates_near_alpha_one(self, tmp_path):
         # (ln 1000) ** 1000 exceeds the float range; the window is then all n

@@ -205,6 +205,22 @@ class TestAnalyze:
         assert report["bands"]["inner_count"] == 1
         assert report["checks"] == {"core_size": 1, "core_clique": True, "core_in_giant": True}
 
+    def test_poisson_header_n_far_above_row_count(self, tmp_path, capsys):
+        # the band diagnostics split the circle into n sectors, and n = 10^12
+        # sectors would take terabytes as a histogram
+        from hrg.sampling import MODE_POISSON, PointSet
+
+        params = ModelParams(10**12, 0.75, 0.0)
+        ps = PointSet(params, np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.5]), MODE_POISSON, 1)
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        with open(coords, "w") as fh:
+            write_coords(fh, ps)
+        edges.write_text("")
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 0
+        bands = json.loads(capsys.readouterr().out)["bands"]
+        assert bands["sectors"] == 10**12
+        assert bands["max_nodes_in_window"] == 1
+
     def test_nonpositive_alpha_header_is_data_error(self, tmp_path, capsys):
         coords, edges = write_fixture(tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
         text = coords.read_text().replace("alpha=0.75", "alpha=-0.5", 1)

@@ -101,7 +101,7 @@ def outcome(reader, text, *args):
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 # Spellings of an id that int() accepts. numpy parses the first three; the
-# others send the reader to its line parser, so a file draws them only
+# others send the reader to its int()/float() pass, so a file draws them only
 # when it is drawn to be exotic.
 NUMPY_STYLES = ("plain", "plus", "zeros")
 EXOTIC_STYLES = NUMPY_STYLES + ("indic", "underscore")
@@ -272,6 +272,85 @@ def bad_coordinate_files(draw):
     return header + "\n".join(rows) + "\n"
 
 
+class Pipe(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def accepted_by_numpy(monkeypatch):
+    """Count the ``np.loadtxt`` calls that return rows rather than refuse."""
+    accepted = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        rows = loadtxt(*args, **kwargs)
+        accepted.append(rows.size)
+        return rows
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return accepted
+
+
+# Files with two faults, in both orders: a check that fails on some row
+# (duplicate, range, self-loop, id sequence, domain) and a line whose
+# token numpy refuses. The reader must name the earlier of the two, as
+# the line parsers did.
+TWO_FAULT_EDGES = [
+    "0\t1\n1\t0\n1_0\tx\n",
+    "0\t1\n1\t0\nabc\n",
+    "0\t1\n1_0\tx\n1\t0\n",
+    "0\t1\nabc\n1\t0\n",
+    "0\t1\n\n2\t2\n\nabc\n",
+    "1_0\t1\n0\t99\nabc\n",
+    "1_0\t1\nabc\n0\t99\n",
+    "0\t1\n1_0\t2\n2\t1_0\n1\t0\nx\n",
+]
+
+TWO_FAULT_COORDS = [
+    "0\t0.5\t1.5\n2\t0.5\t1.5\n1_0\tabc\t1.5\n",
+    "0\t0.5\t1.5\n2\t0.5\t1.5\nabc\n",
+    "0\t0.5\t1.5\n1_0\tabc\t1.5\n2\t0.5\t1.5\n",
+    "0\t0.5\t1.5\nabc\n2\t0.5\t1.5\n",
+    "0\t0.5\t1.5\n\n1\t0.5\t7.0\n \n2\tabc\t1.5\n",
+    "0_0\t0.5\t1.5\n1\tnan\t1.5\nabc\n",
+    "0_0\t0.5\t1.5\nabc\n1\tnan\t1.5\n",
+]
+
+
+class TestTwoFaults:
+    @pytest.mark.parametrize("text", TWO_FAULT_EDGES)
+    def test_edges_name_the_earlier_fault(self, text):
+        expected = outcome(oracle_read_edges, text, 11)
+        assert expected[0] == "error"
+        assert outcome(read_edges, text, 11) == expected
+        # and with the faults' order reversed by reversing the lines
+        reverse = "\n".join(reversed(text.splitlines())) + "\n"
+        assert outcome(read_edges, reverse, 11) == outcome(oracle_read_edges, reverse, 11)
+
+    @pytest.mark.parametrize("body", TWO_FAULT_COORDS)
+    def test_coordinates_name_the_earlier_fault(self, body):
+        header, _ = coordinate_header(3)
+        expected = outcome(oracle_read_coords, header + body)
+        assert expected[0] == "error"
+        assert outcome(read_coords, header + body) == expected
+
+    def test_check_after_blank_lines_in_a_pipe(self, monkeypatch):
+        accepted = accepted_by_numpy(monkeypatch)
+        text = "\n\n0\t1\n\n  \n2 3\n\n1\t0\n\n"
+        with pytest.raises(DataFormatError) as err:
+            read_edges(Pipe(text), 4)
+        assert (err.value.line_number, str(err.value)) == outcome(oracle_read_edges, text, 4)[1:]
+        assert err.value.line_number == 8
+
+        header, _ = coordinate_header(3)
+        text = header + "\n0\t0.5\t1.5\n\n\n1\t0.5\t1.5\n\n2\t0.5\t6.5\n"
+        with pytest.raises(DataFormatError) as err:
+            read_coords(Pipe(text))
+        assert (err.value.line_number, str(err.value)) == outcome(oracle_read_coords, text)[1:]
+        assert err.value.line_number == 8
+        assert accepted == [3, 3]
+
+
 class TestEdgeReader:
     @EXAMPLES
     @given(edge_files())
@@ -299,7 +378,7 @@ class TestEdgeReader:
         assert edges.dtype == np.int64 and edges.shape == (0, 2)
 
     def test_file_and_pipe_streams(self, tmp_path):
-        # a file is rewound for the line parser and a pipe is buffered
+        # a file is rewound for the int()/float() pass and a pipe is buffered
         # first; a read leaves the stream at its end either way
         path = tmp_path / "edges.tsv"
         for text, expected in [
@@ -310,10 +389,6 @@ class TestEdgeReader:
             with open(path, encoding="utf-8") as fh:
                 assert read_edges(fh, 11).tolist() == expected
                 assert fh.read() == ""
-
-        class Pipe(io.StringIO):
-            def seekable(self):
-                return False
 
         assert read_edges(Pipe("0\t1\n"), 2).tolist() == [[0, 1]]
         with pytest.raises(DataFormatError) as err:
