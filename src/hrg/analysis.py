@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
-from ._util import arc_ranges, concatenated_ranges
 from .geometry import TWO_PI, ModelParams, angle_gaps
-from .graphgen import Graph
+from .graphgen import Graph, arc_ranges
 from .sampling import PointSet
 
 __all__ = [
@@ -53,8 +52,7 @@ def bfs_distances(g: Graph, sources) -> np.ndarray:
     level = 0
     while frontier.size:
         level += 1
-        counts = g.indptr[frontier + 1] - g.indptr[frontier]
-        nbrs = g.indices[concatenated_ranges(g.indptr[frontier], counts)]
+        nbrs = g.neighbors(frontier)
         nbrs = nbrs[dist[nbrs] < 0]
         if nbrs.size == 0:
             break
@@ -191,43 +189,34 @@ class DegreeStats:
     histogram: np.ndarray
     mean_degree: float
     beta_hat: float
-    x_min: int
     tail_size: int
     reliable: bool
-    beta_theory: float
-    delta_theory: float
 
 
 def degree_stats(g: Graph) -> DegreeStats:
     deg = g.degrees
-    params = g.pointset.params
-    hist = np.bincount(deg, minlength=1) if g.n else np.zeros(1, dtype=np.int64)
     mean = 2.0 * g.m / g.n if g.n else 0.0
-    x_min = TAIL_FLOOR
-    tail = deg[deg >= x_min]
+    tail = deg[deg >= TAIL_FLOOR]
     reliable = tail.size >= MIN_TAIL
     if tail.size:
-        denom = float(np.log(tail / (x_min - 0.5)).sum())
+        denom = float(np.log(tail / (TAIL_FLOOR - 0.5)).sum())
         beta_hat = 1.0 + tail.size / denom if denom > 0 else math.nan
     else:
         beta_hat = math.nan
     return DegreeStats(
-        histogram=hist,
+        histogram=np.bincount(deg, minlength=1),
         mean_degree=mean,
         beta_hat=beta_hat,
-        x_min=x_min,
         tail_size=int(tail.size),
         reliable=bool(reliable),
-        beta_theory=params.degree_exponent,
-        delta_theory=params.mean_degree,
     )
 
 
 def inner_band_radius(params: ModelParams, c: float = 1.0) -> float:
     """Boundary radius of the inner band, R - ln(R)/(1-alpha) - c; at R = 0
     (n = 1, C = 0) its limit, +inf."""
-    if params.alpha >= 1.0:
-        raise ValueError("inner band is undefined for alpha >= 1")
+    if not params.alpha < 1.0:
+        raise ValueError(f"inner band needs alpha < 1, got alpha={params.alpha!r}")
     if params.R == 0.0:
         return math.inf
     return params.R - math.log(params.R) / (1.0 - params.alpha) - c
@@ -269,9 +258,7 @@ def max_empty_sector_run(ps: PointSet, c: float = 1.0) -> int:
 class BandDiagnostics:
     """Inner-band node count plus sector occupancy summaries."""
 
-    inner_c: float
     inner_count: int
-    sectors: int
     max_empty_sector_run: int
     window_k: int
     max_nodes_in_window: int
@@ -292,9 +279,7 @@ def band_diagnostics(ps: PointSet, c: float = 1.0) -> BandDiagnostics:
     ends = np.searchsorted(np.concatenate((sectors, sectors + n)), sectors + k)
     max_window = int(np.minimum(ends - np.arange(sectors.size), sectors.size).max(initial=0))
     return BandDiagnostics(
-        inner_c=c,
         inner_count=inner_count,
-        sectors=n,
         max_empty_sector_run=run,
         window_k=k,
         max_nodes_in_window=max_window,
@@ -371,8 +356,7 @@ def check_core_clique(g: Graph) -> bool:
     ids = core_node_ids(g)
     core = np.zeros(g.n, dtype=bool)
     core[ids] = True
-    nbrs = g.indices[concatenated_ranges(g.indptr[ids], g.degrees[ids])]
-    return int(np.count_nonzero(core[nbrs])) == ids.size * (ids.size - 1)
+    return int(np.count_nonzero(core[g.neighbors(ids)])) == ids.size * (ids.size - 1)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import inner_band_radius
     from .files import build_report, dump_report, read_coords, read_edges
     from .graphgen import Graph
 
@@ -90,8 +91,10 @@ def _cmd_analyze(args) -> int:
         return EXIT_USAGE
     with open(args.coords, "r", encoding="utf-8") as fh:
         ps = read_coords(fh)
-    if not ps.params.alpha < 1.0:
-        print(f"hrg analyze: need alpha < 1, got alpha={ps.params.alpha!r}", file=sys.stderr)
+    try:
+        inner_band_radius(ps.params)
+    except ValueError as exc:
+        print(f"hrg analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
     with open(args.edges, "r", encoding="utf-8") as fh:
         edges = read_edges(fh, len(ps))

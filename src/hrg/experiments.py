@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import TextIO
 
-from .analysis import analyze_graph, check_underpass
+from .analysis import analyze_graph, check_underpass, inner_band_radius
 from .geometry import ModelParams
 from .graphgen import build_banded
 from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
@@ -89,12 +89,10 @@ class SweepConfig:
             raise ValueError("underpass_trials must be >= 0")
         if not math.isfinite(_real("inner_c", self.inner_c)):
             raise ValueError(f"inner_c must be finite, got {self.inner_c!r}")
-        # validates alpha > 0 and n >= 1 the same way a cell would; R grows with
-        # n, so R >= 0 binds at the smallest n and alpha * R < 700 at the largest
+        # validates 0 < alpha < 1 and n >= 1 the same way a cell would; R grows
+        # with n, so R >= 0 binds at the smallest n and alpha * R < 700 at the largest
         for n in (values[0], values[-1]):
-            ModelParams(n, _real("alpha", self.alpha), _real("C", self.C))
-        if not self.alpha < 1.0:
-            raise ValueError(f"need alpha < 1 for the inner band, got alpha={self.alpha!r}")
+            inner_band_radius(ModelParams(n, _real("alpha", self.alpha), _real("C", self.C)))
         object.__setattr__(self, "n_values", values)
 
     @classmethod

@@ -19,7 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .analysis import analyze_graph
+from .analysis import TAIL_FLOOR, analyze_graph
 from .geometry import TWO_PI, ModelParams
 from .graphgen import Graph
 from .sampling import MODE_FIXED, MODE_POISSON, PointSet
@@ -254,18 +254,18 @@ def build_report(g: Graph, inner_c: float = 1.0) -> dict:
         "degrees": {
             "mean": degrees.mean_degree,
             "beta_hat": _finite_or_none(degrees.beta_hat),
-            "x_min": degrees.x_min,
+            "x_min": TAIL_FLOOR,
             "tail_size": degrees.tail_size,
             "reliable": degrees.reliable,
-            "beta_theory": degrees.beta_theory,
-            "delta_theory": _finite_or_none(degrees.delta_theory),
+            "beta_theory": params.degree_exponent,
+            "delta_theory": _finite_or_none(params.mean_degree),
             "histogram": degrees.histogram.tolist(),
         },
         "bands": {
-            "inner_c": bands.inner_c,
+            "inner_c": inner_c,
             "inner_count": bands.inner_count,
             "outer_count": len(ps) - bands.inner_count,
-            "sectors": bands.sectors,
+            "sectors": params.n,
             "max_empty_sector_run": bands.max_empty_sector_run,
             "window_k": bands.window_k,
             "max_nodes_in_window": bands.max_nodes_in_window,

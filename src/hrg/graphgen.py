@@ -11,6 +11,10 @@ band-local coordinate arrays. Central band pairs get a window of
 half-width pi, which is the whole band. Both builders evaluate the
 identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
+
+``Graph.from_edge_array`` orders the CSR and the edge rows with one sort;
+only this module reads the CSR, other modules call ``Graph.neighbors``.
+The array helpers ``concatenated_ranges`` and ``arc_ranges`` live here too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from ._util import arc_ranges, concatenated_ranges
 from .geometry import TWO_PI, edge_mask
 from .sampling import PointSet
 
@@ -50,6 +53,35 @@ FULL_CIRCLE_MARGIN = 2.0
 FLOAT_GUARD = 1e-9
 
 
+def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[k], starts[k] + counts[k])`` for all k.
+
+    Vectorized replacement for a per-row ``arange`` loop; gathers the
+    neighbor lists of ``Graph.neighbors`` and the builder's candidate windows.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    # entry t of range k is t + (starts[k] - first output index of range k)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
+    return np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
+
+
+def arc_ranges(doubled: np.ndarray, lo_val, hi_val) -> tuple[np.ndarray, np.ndarray]:
+    """Index ranges ``[lo, hi)`` of the closed arcs ``[lo_val, hi_val]``.
+
+    ``doubled`` holds k sorted angles of [0, 2pi) followed by the same
+    angles + 2pi; an arc starting below 0 is looked up one turn later. Each
+    range is clamped to k entries, so an arc of a full turn holds every
+    angle exactly once, and position ``p`` is the angle of rank ``p % k``.
+    """
+    shift = np.where(lo_val < 0.0, TWO_PI, 0.0)
+    lo = np.searchsorted(doubled, lo_val + shift, side="left")
+    hi = np.searchsorted(doubled, hi_val + shift, side="right")
+    return lo, np.minimum(hi, lo + doubled.size // 2)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph over a point set.
@@ -76,8 +108,12 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.indptr[1:] - self.indptr[:-1]
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+    def neighbors(self, nodes) -> np.ndarray:
+        """Neighbor lists of one node id or an array of ids, concatenated
+        in the order given."""
+        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
+        starts = self.indptr[nodes]
+        return self.indices[concatenated_ranges(starts, self.indptr[nodes + 1] - starts)]
 
     def adjacency(self) -> csr_matrix:
         """The CSR adjacency as a scipy sparse matrix with unit entries."""
@@ -89,18 +125,23 @@ class Graph:
         """Build the canonical structure from endpoint arrays (one entry
         per undirected edge, no self-loops, no duplicates).
 
-        Both orders come from one sort of packed keys: ``lo * n + hi`` for
-        the edge rows, ``src * n + dst`` for the half-edges of the CSR.
+        One sort of the packed half-edge keys ``src * n + dst`` orders the
+        CSR; its ``src < dst`` half is the edge rows in (min, max) order.
         """
         n = len(ps)
         base = max(n, 1)  # n = 0 admits no edge; keeps the divisor non-zero
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        lo, hi = np.divmod(np.sort(np.minimum(us, vs) * base + np.maximum(us, vs)), base)
-        edges = np.column_stack((lo, hi))
-        indices = np.sort(np.concatenate((lo * base + hi, hi * base + lo))) % base
+        keys = np.concatenate((us * base + vs, vs * base + us))
+        keys.sort()
+        indices = keys % base
+        src = np.floor_divide(keys, base, out=keys)  # in place: saves a 2m copy
+        forward = src < indices
+        edges = np.empty((us.size, 2), dtype=np.int64)
+        edges[:, 0] = src[forward]
+        edges[:, 1] = indices[forward]
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n), out=indptr[1:])
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         for arr in (edges, indices, indptr):
             arr.setflags(write=False)
         return cls(pointset=ps, indptr=indptr, indices=indices, edges=edges)

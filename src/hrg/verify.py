@@ -35,7 +35,7 @@ from .geometry import (
     theta_exact,
 )
 from .files import read_coords, read_edges, write_coords, write_edges
-from .graphgen import Graph, build_banded, build_naive, theta_upper
+from .graphgen import Graph, band_count, build_banded, build_naive, theta_upper
 from .sampling import disjointness_check, radial_icdf, sample_fixed, sample_poisson
 
 __all__ = ["CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK"]
@@ -156,7 +156,7 @@ def _check_theta_upper(rng, samples_per_pair: int) -> CheckResult:
     pairs = 0
     for n in (2**11, 10**4, 2 * 10**5):
         R = ModelParams(n, 0.75, 0.0).R
-        top = int(math.floor(R)) + 1
+        top = band_count(R)
         for i in range(1, top + 1):
             for j in range(i, top + 1):
                 bound = theta_upper(i, j, R)

@@ -30,6 +30,7 @@ from hrg.analysis import (
     max_empty_sector_run,
 )
 from hrg.cli import main
+from hrg.files import build_report
 from hrg.geometry import TWO_PI, ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
@@ -284,9 +285,9 @@ class TestDegreeStats:
 
     def test_theory_values(self):
         ps = sample_fixed(ModelParams(100, 0.75, 0.0), 23)
-        stats = degree_stats(build_banded(ps))
-        assert stats.beta_theory == 2.5
-        assert stats.delta_theory == pytest.approx(5.7296, abs=1e-3)
+        degrees = build_report(build_banded(ps))["degrees"]
+        assert degrees["beta_theory"] == 2.5
+        assert degrees["delta_theory"] == pytest.approx(5.7296, abs=1e-3)
 
     def test_mean_degree_identity(self):
         g = build_banded(sample_fixed(ModelParams(5000, 0.75, 0.0), 24))
@@ -347,7 +348,7 @@ class TestSectorRuns:
         params = ModelParams(1000, 0.75, 0.0)
         ps = sample_fixed(params, 26)
         diag = band_diagnostics(ps, 1.0)
-        assert diag.sectors == 1000
+        assert build_report(build_banded(ps), 1.0)["bands"]["sectors"] == 1000
         assert 0 <= diag.inner_count <= len(ps)
         assert diag.window_k == min(1000, math.ceil(math.log(1000) ** 4))
         assert 0 <= diag.max_nodes_in_window <= len(ps)

@@ -12,6 +12,7 @@ import hrg
 
 MODULES = ["hrg"] + [f"hrg.{info.name}" for info in pkgutil.iter_modules(hrg.__path__)]
 TRACER = Path(__file__).resolve().parent.parent / "hrgbench" / "tracer.py"
+PACKAGE = Path(hrg.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -41,3 +42,15 @@ def test_tracer_hooks_resolve():
         if not callable(target):
             missing.append(f"{mod_name}.{path}")
     assert tracer.HOOKS and not missing
+
+
+def test_csr_layout_stays_in_graphgen():
+    # every other module reaches the adjacency through ``Graph`` (neighbors,
+    # degrees, adjacency), so the CSR layout can change in one place
+    leaks = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "graphgen.py"
+        and any(word in path.read_text(encoding="utf-8") for word in ("indptr", ".indices"))
+    ]
+    assert not leaks

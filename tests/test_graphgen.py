@@ -203,6 +203,22 @@ class TestGraphStructure:
         order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
         assert bool(np.all(order == np.arange(g.m)))
 
+    def test_neighbors_concatenates_csr_slices(self):
+        g = build_banded(sample_fixed(ModelParams(500, 0.75, 0.0), 13))
+
+        def sliced(nodes):
+            rows = [g.indices[g.indptr[u] : g.indptr[u + 1]] for u in nodes]
+            return np.concatenate([np.empty(0, dtype=np.int64)] + rows)
+
+        hub = int(np.argmax(g.degrees))
+        assert np.array_equal(g.neighbors(hub), sliced([hub]))
+        assert np.array_equal(g.neighbors(np.int64(hub)), sliced([hub]))
+        assert g.neighbors(np.array([], dtype=np.int64)).size == 0
+        assert g.neighbors([]).dtype == np.int64
+        nodes = np.array([hub, 7, 3, hub, 499, 0, 7])
+        assert np.array_equal(g.neighbors(nodes), sliced(nodes))
+        assert np.array_equal(g.neighbors(np.arange(g.n)), g.indices)
+
     def test_every_edge_satisfies_indicator(self):
         ps = sample_fixed(ModelParams(300, 0.75, 0.0), 14)
         g = build_banded(ps)
