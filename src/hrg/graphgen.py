@@ -260,4 +260,10 @@ def build_banded(ps: PointSet) -> Graph:
             hit = edge_mask(r_j[a], phi_j[a], r_i[b], phi_i[b], R)
             us_parts.append(ids_j[a[hit]])
             vs_parts.append(ids_i[b[hit]])
-    return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))
+    # free the band arrays and the parts before the CSR build's peak
+    del bands, radii, doubled
+    us = np.concatenate(us_parts)
+    del us_parts
+    vs = np.concatenate(vs_parts)
+    del vs_parts
+    return Graph.from_edge_array(ps, us, vs)

@@ -2,8 +2,9 @@
 
 Two samplers share one per-point distribution: ``sample_fixed`` places
 exactly n points, ``sample_poisson`` first draws the count from a Poisson
-law with mean n. Reproducibility contract: identical (params, mode, seed)
-yields identical arrays within this implementation. The generator is
+law with mean n, and ``poisson_counts`` draws only those counts.
+Reproducibility contract: identical (params, mode, seed) yields identical
+arrays within this implementation. The generator is
 numpy's PCG64, which is documented, seedable, and splittable; bit-exact
 agreement across implementations is not promised.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "radial_icdf",
     "sample_fixed",
     "sample_poisson",
+    "poisson_counts",
     "disjointness_check",
 ]
 
@@ -86,7 +88,18 @@ class PointSet:
         return self.r.size
 
 
-def _draw_points(params: ModelParams, count: int, rng: np.random.Generator):
+def _seeded_count(params: ModelParams, seed: int, mode: str):
+    """The seed's Generator and the point count: n, or in Poisson mode the
+    Generator's first draw."""
+    rng = np.random.default_rng(seed)
+    return rng, (int(rng.poisson(params.n)) if mode == MODE_POISSON else params.n)
+
+
+def _draw(params: ModelParams, seed: int, mode: str):
+    """Radii and angles of one seeded draw: the count, then the angles, then
+    the radii. The samplers and :func:`disjointness_check` draw here;
+    :func:`poisson_counts` stops after the count."""
+    rng, count = _seeded_count(params, seed, mode)
     phi = rng.uniform(0.0, TWO_PI, count)
     phi[phi >= TWO_PI] -= TWO_PI  # guard against rounding at the high end
     radii = radial_icdf(rng.random(count), params)
@@ -95,17 +108,22 @@ def _draw_points(params: ModelParams, count: int, rng: np.random.Generator):
 
 def sample_fixed(params: ModelParams, seed: int) -> PointSet:
     """Place exactly n points: angles uniform, radii via the inverse CDF."""
-    rng = np.random.default_rng(seed)
-    radii, phi = _draw_points(params, params.n, rng)
-    return PointSet(params, radii, phi, MODE_FIXED, int(seed))
+    return PointSet(params, *_draw(params, seed, MODE_FIXED), MODE_FIXED, int(seed))
 
 
 def sample_poisson(params: ModelParams, seed: int) -> PointSet:
     """Poisson variant: the point count is Poisson with mean n, then each
     point is drawn exactly as in :func:`sample_fixed`."""
-    rng = np.random.default_rng(seed)
-    radii, phi = _draw_points(params, int(rng.poisson(params.n)), rng)
-    return PointSet(params, radii, phi, MODE_POISSON, int(seed))
+    return PointSet(params, *_draw(params, seed, MODE_POISSON), MODE_POISSON, int(seed))
+
+
+def poisson_counts(params: ModelParams, trials: int, seed: int = 0) -> np.ndarray:
+    """Point counts of ``trials`` Poisson draws: entry t equals
+    ``len(sample_poisson(params, seed + t))``, but no point is drawn."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    counts = (_seeded_count(params, seed + t, MODE_POISSON)[1] for t in range(trials))
+    return np.fromiter(counts, dtype=np.int64, count=trials)
 
 
 def disjointness_check(
@@ -127,11 +145,12 @@ def disjointness_check(
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a correlation")
-    sampler = sample_poisson if mode == MODE_POISSON else sample_fixed
+    if mode not in (MODE_FIXED, MODE_POISSON):
+        raise ValueError(f"unknown mode {mode!r}")
     counts_a = np.empty(trials)
     counts_b = np.empty(trials)
     for t in range(trials):
-        ps = sampler(params, seed + t)
-        counts_a[t] = np.count_nonzero(region_a(ps.r, ps.phi))
-        counts_b[t] = np.count_nonzero(region_b(ps.r, ps.phi))
+        radii, phi = _draw(params, seed + t, mode)
+        counts_a[t] = np.count_nonzero(region_a(radii, phi))
+        counts_b[t] = np.count_nonzero(region_b(radii, phi))
     return float(np.corrcoef(counts_a, counts_b)[0, 1])

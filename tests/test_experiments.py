@@ -24,6 +24,7 @@ from hrg.files import (
 from hrg.geometry import ModelParams, theta_exact
 from hrg.graphgen import build_banded
 from hrg.sampling import sample_fixed
+from hrg.verify import run_verify
 
 
 # The frozen v1 sweep header, as the README documents it.
@@ -444,6 +445,18 @@ class TestVerify:
         assert code == 0, out
         assert elapsed < 60.0
         assert "checks passed" in out
+
+    def test_sampler_count_details_frozen(self):
+        # recorded before the count checks stopped building point sets; the
+        # drawn counts, and so these strings, must not change
+        results, code = run_verify(quick=True, seed=123)
+        details = {r.name: r.detail for r in results}
+        assert code == 0
+        assert details["sampler/poisson-count-moments"] == "mean=99.82 var=102.6 over 2000 draws"
+        assert (
+            details["sampler/disjoint-independence"]
+            == "count correlation -0.0219 over 1000 trials"
+        )
 
     def test_injected_fault_detected(self, tmp_path, capsys):
         coords = tmp_path / "c.tsv"

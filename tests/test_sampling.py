@@ -12,6 +12,7 @@ from hrg.sampling import (
     MODE_POISSON,
     PointSet,
     disjointness_check,
+    poisson_counts,
     radial_icdf,
     sample_fixed,
     sample_poisson,
@@ -87,13 +88,13 @@ class TestSamplePoisson:
 
     def test_count_moments(self):
         params = ModelParams(100, 0.75, 0.0)
-        counts = np.array([len(sample_poisson(params, s)) for s in range(10_000)])
+        counts = poisson_counts(params, 10_000, seed=0)
         assert abs(counts.mean() - 100.0) <= 3.0
         assert abs(counts.var(ddof=1) / 100.0 - 1.0) <= 0.10
 
     def test_probability_of_exact_count(self):
         params = ModelParams(100, 0.75, 0.0)
-        counts = np.array([len(sample_poisson(params, s)) for s in range(100_000)])
+        counts = poisson_counts(params, 100_000, seed=0)
         emp = float(np.mean(counts == 100))
         stirling = 1.0 / math.sqrt(2.0 * math.pi * 100.0)
         assert stirling / 2.0 <= emp <= stirling * 2.0
@@ -106,7 +107,52 @@ class TestSamplePoisson:
         assert result.pvalue > 0.01
 
 
+class TestPoissonCounts:
+    @pytest.mark.parametrize("n, seed", [(100, 7), (5, 0), (1, 123)])
+    def test_matches_sampler_length(self, n, seed):
+        params = ModelParams(n, 0.75, 0.0)
+        counts = poisson_counts(params, 2000, seed)
+        lengths = [len(sample_poisson(params, seed + t)) for t in range(2000)]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == lengths
+        if n <= 5:
+            assert (counts == 0).any()  # empty draws are counted too
+
+    def test_zero_trials_is_empty(self):
+        counts = poisson_counts(ModelParams(100, 0.75, 0.0), 0, seed=4)
+        assert counts.dtype == np.int64 and counts.shape == (0,)
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError):
+            poisson_counts(ModelParams(100, 0.75, 0.0), -1)
+
+
+def disjointness_oracle(region_a, region_b, params, trials, seed, sampler):
+    """Per-trial point sets from the public sampler, counted region by region."""
+    counts_a, counts_b = [], []
+    for t in range(trials):
+        ps = sampler(params, seed + t)
+        counts_a.append(np.count_nonzero(region_a(ps.r, ps.phi)))
+        counts_b.append(np.count_nonzero(region_b(ps.r, ps.phi)))
+    return float(np.corrcoef(np.array(counts_a, float), np.array(counts_b, float))[0, 1])
+
+
 class TestDisjointness:
+    @pytest.mark.parametrize(
+        "mode, sampler", [(MODE_POISSON, sample_poisson), (MODE_FIXED, sample_fixed)]
+    )
+    def test_matches_per_trial_sampler_oracle(self, mode, sampler):
+        params = ModelParams(50, 0.75, 0.0)
+        inner = lambda r, phi: r < params.R / 2.0  # noqa: E731
+        arc = lambda r, phi: (phi >= 1.0) & (phi < 2.5)  # noqa: E731
+        corr = disjointness_check(inner, arc, params, 500, seed=31, mode=mode)
+        assert corr == disjointness_oracle(inner, arc, params, 500, 31, sampler)
+
+    def test_unknown_mode_rejected(self):
+        region = lambda r, phi: phi < math.pi  # noqa: E731
+        with pytest.raises(ValueError):
+            disjointness_check(region, region, ModelParams(10, 0.75, 0.0), 10, mode="grid")
+
     def test_disjoint_halves_independent_under_poisson(self):
         params = ModelParams(100, 0.75, 0.0)
         corr = disjointness_check(
