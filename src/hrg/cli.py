@@ -4,6 +4,11 @@ Subcommands: ``generate`` (coordinates + edges for one seed), ``analyze``
 (JSON report from files), ``sweep`` (CSV table from a JSON config), and
 ``verify`` (self-check suite). Exit codes: 0 success, 1 check failures,
 2 usage errors, 3 I/O failures, 4 inconsistent data files.
+
+``generate`` writes the coordinate file in one forked child while the
+parent builds the graph and writes the edge file, so it needs POSIX
+``os.fork``. On exit 3 either file may be incomplete, and a failed
+coordinate write no longer keeps the edge file from being written.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    import os
+
     from .files import write_coords, write_edges
     from .geometry import ModelParams
     from .graphgen import build_banded
@@ -71,11 +78,40 @@ def _cmd_generate(args) -> int:
         return EXIT_USAGE
     sampler = sample_poisson if args.poisson else sample_fixed
     ps = sampler(params, args.seed)
-    g = build_banded(ps)
-    with open(args.out_coords, "w", encoding="utf-8") as fh:
-        write_coords(fh, ps)
-    with open(args.out_edges, "w", encoding="utf-8") as fh:
-        write_edges(fh, g)
+    # The coordinate file depends only on the sample: one forked child writes
+    # it while this process builds the graph and writes the edge file.
+    with open(args.out_coords, "w", encoding="utf-8") as coords_fh:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            # the child leaves only by os._exit: it never returns into the
+            # caller's stack, nor flushes the stdout buffer it inherited
+            exit_code = 1
+            try:
+                write_coords(coords_fh, ps)
+                coords_fh.close()
+                exit_code = 0
+            except OSError as exc:
+                os.write(write_end, str(exc).encode())
+            finally:
+                os._exit(exit_code)
+        os.close(write_end)
+    try:
+        g = build_banded(ps)
+        with open(args.out_edges, "w", encoding="utf-8") as fh:
+            write_edges(fh, g)
+    finally:
+        _, status = os.waitpid(pid, 0)
+        with os.fdopen(read_end, "rb") as pipe:
+            child_error = pipe.read().decode()
+    if child_error or status:
+        exit_code = os.waitstatus_to_exitcode(status)
+        raise OSError(child_error or f"coordinate writer exited with code {exit_code}")
     mode = MODE_POISSON if args.poisson else MODE_FIXED
     print(f"wrote {len(ps)} points and {g.m} edges (mode={mode}, R={params.R:.6g})")
     return EXIT_OK

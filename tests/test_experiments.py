@@ -1,6 +1,10 @@
 """Tests for file formats, the CLI, the sweep harness, and verify."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -23,7 +27,7 @@ from hrg.files import (
 )
 from hrg.geometry import ModelParams, theta_exact
 from hrg.graphgen import build_banded
-from hrg.sampling import sample_fixed
+from hrg.sampling import sample_fixed, sample_poisson
 from hrg.verify import run_verify
 
 
@@ -39,6 +43,27 @@ def run_cli(args):
         return main(list(args))
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_process_files(n, seed, poisson=False):
+    """The coordinate and edge text the library writers give for one sample
+    of ``hrg generate``'s defaults, and the sample's point and edge counts."""
+    ps = (sample_poisson if poisson else sample_fixed)(ModelParams(n, 0.75, 0.0), seed)
+    g = build_banded(ps)
+    coords, edges = io.StringIO(), io.StringIO()
+    write_coords(coords, ps)
+    write_edges(edges, g)
+    return coords.getvalue(), edges.getvalue(), len(ps), g.m
+
+
+def generate_argv(coords, edges, n=10, seed=0):
+    return ["generate", "--n", str(n), "--seed", str(seed),
+            "--out-coords", str(coords), "--out-edges", str(edges)]
 
 
 class TestGenerate:
@@ -89,7 +114,11 @@ class TestGenerate:
         header = out[0].splitlines()[0]
         assert "mode=poisson" in header
 
-    def test_io_failure_exit_code(self, tmp_path):
+    def test_io_failure_exit_code(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked before the coordinate file was open")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         code = run_cli(
             [
                 "generate", "--n", "5",
@@ -98,6 +127,75 @@ class TestGenerate:
             ]
         )
         assert code == 3
+        assert not (tmp_path / "e.tsv").exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    @pytest.mark.parametrize("poisson", [False, True], ids=["fixed", "poisson"])
+    def test_files_match_in_process_writers(self, tmp_path, capsys, poisson, n, seed):
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        argv = generate_argv(coords, edges, n, seed) + (["--poisson"] if poisson else [])
+        assert run_cli(argv) == 0
+        want_coords, want_edges, points, m = in_process_files(n, seed, poisson)
+        assert coords.read_bytes() == want_coords.encode()
+        assert edges.read_bytes() == want_edges.encode()
+        mode = "poisson" if poisson else "fixed"
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"wrote {points} points and {m} edges (mode={mode}")
+        assert_no_child_left()
+
+    def test_child_leaves_inherited_stdout_buffer_alone(self, tmp_path):
+        # a piped stdout is block-buffered, so "before" is still in the
+        # buffer when generate forks: a child that flushed it would print it twice
+        script = "import sys; from hrg.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
+        argv = generate_argv(tmp_path / "c.tsv", tmp_path / "e.tsv", n=100, seed=3)
+        src = os.path.dirname(os.path.dirname(sys.modules["hrg"].__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        _, _, points, m = in_process_files(100, 3)
+        assert proc.stdout.splitlines() == [
+            "before", f"wrote {points} points and {m} edges (mode=fixed, R={2 * np.log(100):.6g})"
+        ]
+
+    def test_coords_to_full_device(self, tmp_path, capsys):
+        edges = tmp_path / "e.tsv"
+        assert run_cli(generate_argv("/dev/full", edges, n=2000, seed=1)) == 3
+        err = capsys.readouterr().err
+        assert err == "hrg generate: I/O error: [Errno 28] No space left on device\n"
+        assert_no_child_left()
+
+    def test_edges_to_full_device(self, tmp_path, capsys):
+        coords = tmp_path / "c.tsv"
+        assert run_cli(generate_argv(coords, "/dev/full", n=2000, seed=1)) == 3
+        err = capsys.readouterr().err
+        assert err == "hrg generate: I/O error: [Errno 28] No space left on device\n"
+        assert coords.read_bytes() == in_process_files(2000, 1)[0].encode()
+        assert_no_child_left()
+
+    def test_child_crash_is_io_error(self, tmp_path, capsys, monkeypatch):
+        def broken_writer(stream, ps):
+            raise ValueError("writer broke")
+
+        monkeypatch.setattr("hrg.files.write_coords", broken_writer)
+        assert run_cli(generate_argv(tmp_path / "c.tsv", tmp_path / "e.tsv")) == 3
+        err = capsys.readouterr().err
+        assert err == "hrg generate: I/O error: coordinate writer exited with code 1\n"
+        assert_no_child_left()
+
+    def test_build_failure_propagates_and_reaps(self, tmp_path, monkeypatch):
+        def broken_build(ps):
+            raise RuntimeError("builder broke")
+
+        monkeypatch.setattr("hrg.graphgen.build_banded", broken_build)
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        with pytest.raises(RuntimeError, match="builder broke"):
+            run_cli(generate_argv(coords, edges, n=2000, seed=1))
+        assert_no_child_left()
+        assert coords.read_bytes() == in_process_files(2000, 1)[0].encode()
+        assert not edges.exists()
 
     def test_usage_error_exit_code(self):
         assert run_cli(["generate", "--n"]) == 2
