@@ -320,7 +320,8 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     n, phi, r = g.n, g.pointset.phi, g.pointset.r
     order = np.argsort(phi, kind="stable")
     doubled = np.concatenate((phi[order], phi[order] + TWO_PI))
-    keys = g.edges[:, 0] * n + g.edges[:, 1]  # sorted, as the rows are canonical
+    rows = g.edge_rows()
+    keys = rows[:, 0] * n + rows[:, 1]  # sorted, as the rows are canonical
 
     def adjacent(a, b):
         query = np.minimum(a, b) * n + np.maximum(a, b)
@@ -332,7 +333,7 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     while tested < trials and attempts < max_attempts:
         k = min(trials - tested, max_attempts - attempts)
         attempts += k
-        u, w = g.edges[rng.integers(g.m, size=k)].T
+        u, w = rows[rng.integers(g.m, size=k)].T
         fwd = (phi[w] - phi[u]) % TWO_PI
         minor = fwd <= math.pi
         arc_lo = np.where(minor, phi[u], phi[w])

@@ -133,8 +133,8 @@ def _cmd_analyze(args) -> int:
         print(f"hrg analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
     with open(args.edges, "r", encoding="utf-8") as fh:
-        edges = read_edges(fh, len(ps))
-    g = Graph.from_edge_array(ps, edges[:, 0], edges[:, 1])
+        # the file's rows are dropped once the graph is built
+        g = Graph.from_edge_array(ps, *read_edges(fh, len(ps)).T)
     report = build_report(g, inner_c=args.inner_c)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

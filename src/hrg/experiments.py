@@ -177,24 +177,13 @@ def _run_cell(config: SweepConfig, n: int, seed: int) -> SweepRecord:
     return record
 
 
-def _cell_args(config: SweepConfig):
-    for n in config.n_values:
-        for seed in range(1, config.seeds + 1):
-            yield n, seed
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Run every cell; records come back sorted by (n, seed)."""
-    cells = list(_cell_args(config))
+    """Run every cell; records come back in (n, seed) order, as the cells are listed."""
+    cells = [(n, seed) for n in config.n_values for seed in range(1, config.seeds + 1)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(
-                pool.map(_run_cell, [config] * len(cells), *zip(*cells))
-            )
-    else:
-        records = [_run_cell(config, n, seed) for n, seed in cells]
-    records.sort(key=lambda rec: (rec.n, rec.seed))
-    return records
+            return list(pool.map(_run_cell, [config] * len(cells), *zip(*cells)))
+    return [_run_cell(config, n, seed) for n, seed in cells]
 
 
 def write_sweep_csv(records: list[SweepRecord], stream: TextIO) -> None:

@@ -118,8 +118,14 @@ def read_coords(stream: TextIO) -> PointSet:
 
 
 def write_edges(stream: TextIO, g: Graph) -> None:
-    for start in range(0, g.m, WRITE_BLOCK):
-        block = g.edges[start : start + WRITE_BLOCK]
+    """Write the canonical rows of :meth:`Graph.edge_rows`, sorted, derived
+    and formatted per block of nodes: a block starts at the last node
+    boundary at or below each multiple of ``WRITE_BLOCK`` half-edges, so it
+    holds at most ``WRITE_BLOCK`` rows beyond those of its first node."""
+    ends = np.cumsum(g.degrees)
+    cuts = np.searchsorted(ends, range(0, 2 * g.m, WRITE_BLOCK), side="right").tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [g.n]):
+        block = g.edge_rows(lo, hi)
         stream.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
 
 

@@ -12,8 +12,9 @@ half-width pi, which is the whole band. Both builders evaluate the
 identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
 
-``Graph.from_edge_array`` orders the CSR and the edge rows with one sort;
-only this module reads the CSR, other modules call ``Graph.neighbors``.
+``Graph.from_edge_array`` orders the CSR with one sort. The CSR is the only
+stored adjacency: ``Graph.edge_rows`` derives the canonical edge rows from
+it. Only this module reads the CSR, other modules call ``Graph.neighbors``.
 The array helpers ``concatenated_ranges`` and ``arc_ranges`` live here too.
 """
 
@@ -86,15 +87,14 @@ def arc_ranges(doubled: np.ndarray, lo_val, hi_val) -> tuple[np.ndarray, np.ndar
 class Graph:
     """Immutable undirected graph over a point set.
 
-    ``edges`` is an (m, 2) array in canonical order: each row is
-    (min id, max id), rows sorted by that pair. ``indptr``/``indices``
-    form a CSR adjacency with each node's neighbor list sorted.
+    ``indptr``/``indices`` form a CSR adjacency with each node's neighbor
+    list sorted, each edge stored once from either end. It is the only
+    stored adjacency; :meth:`edge_rows` derives the canonical edge rows.
     """
 
     pointset: PointSet
     indptr: np.ndarray
     indices: np.ndarray
-    edges: np.ndarray
 
     @property
     def n(self) -> int:
@@ -102,7 +102,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return self.edges.shape[0]
+        return self.indices.size // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -115,6 +115,16 @@ class Graph:
         starts = self.indptr[nodes]
         return self.indices[concatenated_ranges(starts, self.indptr[nodes + 1] - starts)]
 
+    def edge_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Canonical (min id, max id) rows, sorted by that pair, of the edges
+        whose smaller end lies in nodes ``[lo, hi)``: the ``src < dst`` half
+        of the CSR's order. Consecutive node ranges give consecutive rows."""
+        hi = self.n if hi is None else hi
+        dst = self.indices[self.indptr[lo] : self.indptr[hi]]
+        src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(self.indptr[lo : hi + 1]))
+        forward = src < dst
+        return np.column_stack((src.compress(forward), dst.compress(forward)))
+
     def adjacency(self) -> csr_matrix:
         """The CSR adjacency as a scipy sparse matrix with unit entries."""
         data = np.ones(self.indices.size, dtype=np.int8)
@@ -126,25 +136,24 @@ class Graph:
         per undirected edge, no self-loops, no duplicates).
 
         One sort of the packed half-edge keys ``src * n + dst`` orders the
-        CSR; its ``src < dst`` half is the edge rows in (min, max) order.
+        CSR. The keys are packed and reduced to ``dst`` in place, so the 2m
+        keys are the only array of that size held beside the inputs.
         """
         n = len(ps)
         base = max(n, 1)  # n = 0 admits no edge; keeps the divisor non-zero
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        keys = np.concatenate((us * base + vs, vs * base + us))
+        keys = np.concatenate((us, vs))
+        keys *= base
+        keys[: us.size] += vs
+        keys[us.size :] += us
         keys.sort()
-        indices = keys % base
-        src = np.floor_divide(keys, base, out=keys)  # in place: saves a 2m copy
-        forward = src < indices
-        edges = np.empty((us.size, 2), dtype=np.int64)
-        edges[:, 0] = src[forward]
-        edges[:, 1] = indices[forward]
+        indices = np.remainder(keys, base, out=keys)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        for arr in (edges, indices, indptr):
+        np.cumsum(np.bincount(us, minlength=n) + np.bincount(vs, minlength=n), out=indptr[1:])
+        for arr in (indices, indptr):
             arr.setflags(write=False)
-        return cls(pointset=ps, indptr=indptr, indices=indices, edges=edges)
+        return cls(pointset=ps, indptr=indptr, indices=indices)
 
 
 def layer_of_radius(r, R: float):
@@ -207,8 +216,8 @@ def build_naive(ps: PointSet) -> Graph:
     n = len(ps)
     r, phi, R = ps.r, ps.phi, ps.params.R
     cols = np.arange(n)
-    us_parts = []
-    vs_parts = []
+    us_parts = [np.empty(0, dtype=np.int64)]
+    vs_parts = [np.empty(0, dtype=np.int64)]
     block = max(1, 8_000_000 // max(n, 1))
     for a in range(0, n - 1, block):
         b = min(a + block, n - 1)
@@ -218,9 +227,7 @@ def build_naive(ps: PointSet) -> Graph:
         ui, vi = np.nonzero(mask)
         us_parts.append(rows[ui])
         vs_parts.append(vi)
-    us = np.concatenate(us_parts) if us_parts else np.empty(0, dtype=np.int64)
-    vs = np.concatenate(vs_parts) if vs_parts else np.empty(0, dtype=np.int64)
-    return Graph.from_edge_array(ps, us, vs)
+    return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))
 
 
 def build_banded(ps: PointSet) -> Graph:

@@ -395,7 +395,7 @@ class TestUnderpass:
         # v at the smallest radius; the edge {u, w} is the only one with v between
         radii, angles = np.array([1.0, 0.2, 1.1]), np.array(self.ANGLES)
         g = build_banded(PointSet(ModelParams(3, 0.75, 0.0), radii, angles, MODE_FIXED, 0))
-        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]], "test setup: a triangle"
+        assert g.edge_rows().tolist() == [[0, 1], [0, 2], [1, 2]], "test setup: a triangle"
         result = check_underpass(g, 200, seed=1)
         assert result.tested == 200 and result.violations == 0
 
@@ -457,7 +457,7 @@ class TestCoreClique:
         drop = (int(core[0]), int(core[1]))
         kept = [
             (int(a), int(b))
-            for a, b in g.edges
+            for a, b in g.edge_rows()
             if (int(a), int(b)) != drop
         ]
         broken = manual_graph(ps.params, ps.r, ps.phi, kept)
@@ -494,6 +494,21 @@ class TestInnerBandHops:
         ps = PointSet(params, np.asarray(radii), np.array([0.0, math.pi]), MODE_POISSON, 0)
         g = Graph.from_edge_array(ps, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         assert inner_band_hops(g) == InnerBandReach(max_hops=0, anomalies=2)
+
+
+class TestCoreDepthBound:
+    @pytest.mark.parametrize("n, seed", [(2_000, 33), (10_000, 34), (50_000, 35), (1 << 17, 1)])
+    def test_giant_diameter_at_most_twice_core_depth_plus_one(self, n, seed):
+        # the core is a clique: two giant nodes within depth hops of it lie
+        # within depth + 1 + depth hops of each other
+        g = build_banded(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
+        report = component_report(g)
+        core = core_node_ids(g)
+        giant = report.labels == report.giant_label
+        assert core.size > 0 and bool(giant[core].all()), "test setup: core inside the giant"
+        assert check_core_clique(g)
+        core_depth = int(bfs_distances(g, core)[giant].max())
+        assert report.giant_diameter <= 2 * core_depth + 1
 
 
 class TestGiantContainment:

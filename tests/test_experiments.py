@@ -84,7 +84,7 @@ class TestGenerate:
         with open(edges) as fh:
             file_edges = read_edges(fh, len(ps))
         rebuilt = build_banded(ps)
-        assert np.array_equal(rebuilt.edges, file_edges)
+        assert np.array_equal(rebuilt.edge_rows(), file_edges)
         assert np.array_equal(ps.r, sample_fixed(ModelParams(10, 0.75, 0.0), 7).r)
 
     def test_single_node(self, tmp_path):
@@ -366,7 +366,7 @@ class TestAnalyze:
             ps_back = read_coords(fh)
         assert np.array_equal(ps.r, ps_back.r)
         assert np.array_equal(ps.phi, ps_back.phi)
-        assert np.array_equal(build_banded(ps_back).edges, g.edges)
+        assert np.array_equal(build_banded(ps_back).edge_rows(), g.edge_rows())
 
 
 class TestEdgeFileValidation:

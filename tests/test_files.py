@@ -1,6 +1,7 @@
 """Differential tests of the TSV readers against the line-by-line parsers
 they replaced: identical arrays on valid files, the same error and line
-number on malformed ones."""
+number on malformed ones. The edge writer's blocks write the bytes of all
+rows formatted at once."""
 
 import io
 import math
@@ -8,9 +9,18 @@ import math
 import numpy as np
 import pytest
 
-from hrg.files import DataFormatError, _parse_header, read_coords, read_edges, write_coords
+from hrg import files
+from hrg.files import (
+    DataFormatError,
+    _parse_header,
+    read_coords,
+    read_edges,
+    write_coords,
+    write_edges,
+)
 from hrg.geometry import TWO_PI, ModelParams
-from hrg.sampling import MODE_FIXED, PointSet
+from hrg.graphgen import Graph, build_banded
+from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -424,3 +434,53 @@ class TestCoordinateReader:
         header, _ = coordinate_header(3)
         assert outcome(read_coords, header) == outcome(oracle_read_coords, header)
         assert outcome(read_coords, header)[0] == "error"
+
+
+class Writes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.rows = []
+
+    def write(self, text):
+        if text:
+            self.rows.append(text.count("\n"))
+        return super().write(text)
+
+
+def star_and_path():
+    # hub 3 joins nodes 4..39, a path runs through 40..44, nodes 0..2 and
+    # 45..49 have no edge
+    params = ModelParams(50, 0.75, 0.0)
+    ps = PointSet(params, np.zeros(50), np.zeros(50), MODE_FIXED, 0)
+    us = np.concatenate((np.arange(4, 40), np.arange(41, 45)))
+    vs = np.concatenate((np.full(36, 3), np.arange(40, 44)))
+    return Graph.from_edge_array(ps, us, vs)
+
+
+class TestEdgeWriter:
+    @pytest.mark.parametrize("block", [1, 3, 16, files.WRITE_BLOCK])
+    @pytest.mark.parametrize("make", ["sample", "star"])
+    def test_blocks_write_the_rows_in_one_go(self, monkeypatch, block, make):
+        if make == "star":
+            g = star_and_path()
+        else:
+            g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 21))
+        monkeypatch.setattr(files, "WRITE_BLOCK", block)
+        stream = Writes()
+        write_edges(stream, g)
+        rows = g.edge_rows()
+        assert stream.getvalue() == "%d\t%d\n" * g.m % tuple(rows.ravel().tolist())
+        hub = int(g.degrees.max())
+        assert sum(stream.rows) == g.m
+        assert max(stream.rows) <= block + hub
+        if block < hub:  # a hub larger than a block, among other blocks
+            assert len(stream.rows) > 1
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_no_edges_write_nothing(self, count):
+        params = ModelParams(3, 0.75, 0.0)
+        ps = PointSet(params, np.zeros(count), np.zeros(count), MODE_POISSON, 0)
+        g = Graph.from_edge_array(ps, [], [])
+        stream = Writes()
+        write_edges(stream, g)
+        assert stream.getvalue() == "" and stream.rows == []

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ class TestBuildNaive:
         params = ModelParams(2, 0.75, 0.0)
         ps = manual_pointset(params, [0.1, 0.1], [0.3, 4.0])
         g = build_naive(ps)
-        assert g.edges.tolist() == [[0, 1]]
+        assert g.edge_rows().tolist() == [[0, 1]]
 
     def test_hand_placed_configuration_against_oracle(self):
         params = ModelParams(5, 0.75, 0.0)
@@ -51,7 +52,7 @@ class TestBuildNaive:
             for b in range(a + 1, 5):
                 if mp_distance(radii[a], angles[a], radii[b], angles[b]) <= R:
                     expected.add((a, b))
-        assert {tuple(e) for e in g.edges.tolist()} == expected
+        assert {tuple(e) for e in g.edge_rows().tolist()} == expected
 
 
 class TestBandedEquivalence:
@@ -63,17 +64,17 @@ class TestBandedEquivalence:
             ps = sample_fixed(params, int(rng.integers(2**63)))
             fast = build_banded(ps)
             slow = build_naive(ps)
-            assert np.array_equal(fast.edges, slow.edges)
+            assert np.array_equal(fast.edge_rows(), slow.edge_rows())
 
     def test_matches_naive_on_poisson_mode(self):
         ps = sample_poisson(ModelParams(300, 0.75, 0.0), 4)
-        assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
 
     def test_matches_naive_off_regime(self):
         # window bound must stay sound for any positive alpha
         for alpha in (0.55, 0.95, 1.5):
             ps = sample_fixed(ModelParams(400, alpha, 0.0), 7)
-            assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+            assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
 
     def test_empty_pointset(self):
         params = ModelParams(4, 0.75, 0.0)
@@ -91,7 +92,7 @@ class TestBandedEquivalence:
         angles = [0.0, math.pi, np.nextafter(2 * math.pi, 0), math.pi, 0.0, math.pi / 2]
         ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
         assert theta_upper(layer_of_radius(0.5, R), layer_of_radius(0.5, R), R) == math.pi
-        assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
 
     def test_inner_band_larger_than_outer(self):
         # band sizes fall off toward the centre only in expectation: here the
@@ -120,14 +121,14 @@ class TestBandedEquivalence:
         ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
         assert [ids.size for ids in BandIndex.build(ps).ids[2:5]] == [3, 0, 40]
         banded = build_banded(ps)
-        assert np.array_equal(banded.edges, build_naive(ps).edges)
-        assert np.count_nonzero(banded.edges[:, 0] < 3) > 0
+        assert np.array_equal(banded.edge_rows(), build_naive(ps).edge_rows())
+        assert np.count_nonzero(banded.edge_rows()[:, 0] < 3) > 0
 
     @pytest.mark.parametrize("alpha", [0.55, 0.65, 0.85])
     @pytest.mark.parametrize("C", [-1.0, 2.0])
     def test_matches_naive_across_alpha(self, alpha, C):
         ps = sample_fixed(ModelParams(2000, alpha, C), 32)
-        assert np.array_equal(build_banded(ps).edges, build_naive(ps).edges)
+        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
 
 
 class TestCandidateCount:
@@ -199,8 +200,9 @@ class TestGraphStructure:
         for u in range(g.n):
             row = g.neighbors(u)
             assert bool(np.all(np.diff(row) > 0))
-        assert bool(np.all(g.edges[:, 0] < g.edges[:, 1]))
-        order = np.lexsort((g.edges[:, 1], g.edges[:, 0]))
+        rows = g.edge_rows()
+        assert bool(np.all(rows[:, 0] < rows[:, 1]))
+        order = np.lexsort((rows[:, 1], rows[:, 0]))
         assert bool(np.all(order == np.arange(g.m)))
 
     def test_neighbors_concatenates_csr_slices(self):
@@ -222,7 +224,7 @@ class TestGraphStructure:
     def test_every_edge_satisfies_indicator(self):
         ps = sample_fixed(ModelParams(300, 0.75, 0.0), 14)
         g = build_banded(ps)
-        a, b = g.edges.T
+        a, b = g.edge_rows().T
         assert edge_mask(ps.r[a], ps.phi[a], ps.r[b], ps.phi[b], ps.params.R).all()
 
 
@@ -255,11 +257,55 @@ class TestCsrBuild:
             swap = rng.random(m) < 0.5
             us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
             g = Graph.from_edge_array(ps, us, vs)
-            built = (g.edges, g.indices, g.indptr)
+            built = (g.edge_rows(), g.indices, g.indptr)
             for got, want in zip(built, lexsort_csr(n, us.astype(np.int64), vs.astype(np.int64))):
                 assert got.dtype == want.dtype == np.int64
                 assert got.shape == want.shape and np.array_equal(got, want)
-                assert not got.flags.writeable
+            assert g.m == m
+            assert not g.indices.flags.writeable and not g.indptr.flags.writeable
+
+    def test_retains_only_the_csr(self):
+        # the CSR is the only adjacency a graph keeps, and the build's peak
+        # beside its inputs stays within 2.5 arrays of 2m int64 half-edges
+        ps = sample_fixed(ModelParams(20_000, 0.75, 0.0), 1)
+        rows = build_banded(ps).edge_rows()
+        us, vs = rows[:, 0].copy(), rows[:, 1].copy()
+        half_edges = 16 * us.size
+        assert us.size == 58_008
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = Graph.from_edge_array(ps, us, vs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained - before <= g.indices.nbytes + g.indptr.nbytes + 4096
+        assert peak - before <= 2.5 * half_edges
+
+
+class TestEdgeRows:
+    def test_node_ranges_concatenate_to_all_rows(self):
+        g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 19))
+        rows = g.edge_rows()
+        assert rows.shape == (g.m, 2)
+        hub = int(np.argmax(g.degrees))
+        rng = np.random.default_rng(20)
+        splits = [[], [hub, hub + 1], list(range(0, g.n, 97)), [g.n // 2, g.n // 2]]
+        splits.append(sorted(rng.integers(0, g.n + 1, 40).tolist()))
+        for cuts in splits:
+            bounds = [0, *cuts, g.n]
+            parts = [g.edge_rows(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            assert np.array_equal(np.concatenate(parts), rows)
+        assert np.array_equal(g.edge_rows(hub), rows[rows[:, 0] >= hub])
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_edges_give_empty_int64_rows(self, n):
+        params = ModelParams(max(n, 1), 0.75, 0.0)
+        ps = manual_pointset(params, np.zeros(n), np.zeros(n), mode=MODE_POISSON)
+        g = Graph.from_edge_array(ps, [], [])
+        assert g.m == 0
+        for rows in (g.edge_rows(), g.edge_rows(0, n), g.edge_rows(n, n)):
+            assert rows.shape == (0, 2) and rows.dtype == np.int64
 
 
 class TestMonotonicity:
@@ -268,7 +314,7 @@ class TestMonotonicity:
         g = build_banded(ps)
         R = ps.params.R
         rng = np.random.default_rng(16)
-        a, b = g.edges[rng.integers(0, g.m, 10_000)].T
+        a, b = g.edge_rows()[rng.integers(0, g.m, 10_000)].T
         shrunk_a = ps.r[a] * rng.uniform(0.0, 1.0, a.size)
         assert edge_mask(shrunk_a, ps.phi[a], ps.r[b], ps.phi[b], R).all()
         shrunk_b = ps.r[b] * rng.uniform(0.0, 1.0, b.size)
