@@ -1,5 +1,8 @@
 """Self-check suite behind ``hrg verify``.
 
+A check that the tests also run is a public function that takes its sizes
+and seeds and returns what it measures; ``run_verify`` formats its line.
+
 Deterministic checks (geometry identities, builder equivalence, diameter
 oracle agreement, forced-edge and clique properties, file round-trips)
 must all hold; any failure is a defect. Statistical checks (sampler
@@ -18,14 +21,18 @@ from scipy import stats
 from scipy.sparse.csgraph import shortest_path
 
 from .analysis import (
+    ComponentReport,
     analyze_graph,
+    bfs_distances,
     check_core_clique,
     check_underpass,
     component_report,
+    core_node_ids,
     exact_diameter,
 )
 from .geometry import (
     ModelParams,
+    MonteCarloEstimate,
     edge_mask,
     mu_ball_origin_exact,
     mu_lens_approx,
@@ -36,13 +43,19 @@ from .geometry import (
 )
 from .files import read_coords, read_edges, write_coords, write_edges
 from .graphgen import Graph, band_count, build_banded, build_naive, theta_upper
-from .sampling import disjointness_check, poisson_counts, radial_icdf, sample_fixed, sample_poisson
+from .sampling import (
+    PointSet, disjointness_check, poisson_counts, radial_icdf, sample_fixed, sample_poisson
+)
 
-__all__ = ["CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK"]
+__all__ = [
+    "CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK", "apsp_eccentricities",
+    "theta_upper_excess", "banded_naive_mismatches", "diameter_mismatches", "core_depth",
+    "radial_ks", "angle_chisquare", "fixed_vs_poisson_ks", "lens_measure",
+]
 
 # Empirical ceiling on (relative error of the leading-order connection
-# angle) * exp(r + y - R); measured maxima sit near 0.26, the bound leaves
-# a factor ~4 of headroom.
+# angle) * exp(r + y - R). The maximum reads 0.169 over verify's range
+# (r + y - R <= 12) and 0.834 over the tests' mpmath range (up to R = 30).
 THETA_DECAY_BOUND = 1.0
 
 # Additive slack constant for the lens-measure comparison, multiplying
@@ -151,7 +164,11 @@ def _check_ball_measure() -> CheckResult:
     )
 
 
-def _check_theta_upper(rng, samples_per_pair: int) -> CheckResult:
+def theta_upper_excess(rng, samples_per_pair: int) -> tuple[int, float]:
+    """(band pairs tested, largest excess of ``theta_exact`` over
+    ``theta_upper``) over every band pair below a full circle at n = 2^11,
+    10^4 and 2 * 10^5, at its inner corner and ``samples_per_pair`` radius
+    pairs drawn from ``rng``. The window is sound when the excess is <= 0."""
     worst = -math.inf
     pairs = 0
     for n in (2**11, 10**4, 2 * 10**5):
@@ -169,62 +186,61 @@ def _check_theta_upper(rng, samples_per_pair: int) -> CheckResult:
                 y = rng.uniform(lo_y, lo_y + 1.0, samples_per_pair)
                 inside = float(np.max(theta_exact(r, y, R)))
                 worst = max(worst, max(edge, inside) - bound)
-    ok = worst <= 0.0
-    return _det(
-        "graphs/theta-upper-soundness",
-        ok,
-        f"{pairs} band pairs, max(theta_exact - bound) = {worst:.3e}",
-    )
+    return pairs, worst
 
 
-def _check_builder_equivalence(rng, sizes) -> CheckResult:
+def banded_naive_mismatches(rng, sizes) -> int:
+    """Builds one graph per entry of ``sizes`` (alpha 0.75, C 0), drawing
+    each seed in order from ``rng``, with both builders; returns how many
+    edge sets differ."""
     mismatches = 0
-    graphs = 0
     for n in sizes:
-        for _ in range(2):
-            seed = int(rng.integers(2**63))
-            ps = sample_fixed(ModelParams(n, 0.75, 0.0), seed)
-            fast = build_banded(ps)
-            slow = build_naive(ps)
-            graphs += 1
-            if not np.array_equal(fast.edge_rows(), slow.edge_rows()):
-                mismatches += 1
-    return _det(
-        "graphs/banded-equals-naive",
-        mismatches == 0,
-        f"{graphs} graphs, {mismatches} edge-set mismatches",
-    )
-
-
-def _apsp_diameter(g: Graph, nodes: np.ndarray) -> int:
-    """Exact diameter of a connected node set: the largest entry of scipy's
-    all-pairs shortest-path matrix on unit edge lengths over the set's
-    induced subgraph. It shares no code with the library's iFUB, so each
-    checks the other. A disconnected set raises ``ValueError``."""
-    dist = shortest_path(g.adjacency()[nodes][:, nodes], unweighted=True, directed=False)
-    if not np.isfinite(dist).all():
-        raise ValueError("component is not connected")
-    return int(dist.max())
-
-
-def _check_diameter_oracle(rng, count: int) -> CheckResult:
-    bad = 0
-    for _ in range(count):
-        n = int(rng.integers(10, 200))
         ps = sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63)))
-        g = build_banded(ps)
+        if not np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows()):
+            mismatches += 1
+    return mismatches
+
+
+def apsp_eccentricities(g: Graph) -> np.ndarray:
+    """Each node's eccentricity within its own component, from one scipy
+    all-pairs shortest-path matrix over the whole graph (pairs in different
+    components are ignored), so a component's diameter is the largest of
+    its nodes'. It shares no code with the library's BFS or iFUB."""
+    dist = shortest_path(g.adjacency(), unweighted=True, directed=False)
+    dist[np.isinf(dist)] = 0
+    return dist.max(axis=1).astype(np.int64)
+
+
+def diameter_mismatches(rng, count: int) -> int:
+    """Draws n from [10, 301) and a seed from ``rng`` per graph (alpha
+    0.75, C 0) until ``count`` giants of two or more nodes are checked;
+    returns how many giants' ``exact_diameter`` or ``component_report``
+    diameter differs from the all-pairs oracle's."""
+    mismatches = checked = 0
+    while checked < count:
+        n = int(rng.integers(10, 301))
+        g = build_banded(sample_fixed(ModelParams(n, 0.75, 0.0), int(rng.integers(2**63))))
         comps = component_report(g)
         nodes = np.flatnonzero(comps.labels == comps.giant_label)
         if nodes.size < 2:
             continue
-        oracle = _apsp_diameter(g, nodes)
+        oracle = apsp_eccentricities(g)[nodes].max()
         if exact_diameter(g, nodes) != oracle or comps.giant_diameter != oracle:
-            bad += 1
-    return _det(
-        "graphs/diameter-equals-apsp",
-        bad == 0,
-        f"{count} random graphs, {bad} disagreements",
-    )
+            mismatches += 1
+        checked += 1
+    return mismatches
+
+
+def core_depth(g: Graph, comps: ComponentReport) -> int | None:
+    """Most hops from a giant node to the core (radius <= R/2). Two giant
+    nodes then reach each other through the core, so with the core a
+    clique the giant diameter is at most 2 * core_depth + 1. ``None`` when
+    the core is empty or not inside the giant, where no bound follows."""
+    core = core_node_ids(g)
+    giant = comps.labels == comps.giant_label
+    if core.size == 0 or not giant[core].all():
+        return None
+    return int(bfs_distances(g, core)[giant].max())
 
 
 def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResult]:
@@ -232,6 +248,16 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
     g = build_banded(ps)
     result = check_underpass(g, trials, seed=seed)
     analysis = analyze_graph(g)
+    diameter = analysis.components.giant_diameter
+    depth = core_depth(g, analysis.components)
+    if depth is None:
+        detail = (
+            f"precondition unmet: core of size {analysis.core_size} is empty or "
+            "outside the giant, no bound applies"
+        )
+    else:
+        detail = f"giant diameter {diameter} vs 2*core_depth+1 = {2 * depth + 1} (depth {depth})"
+    bound = _det("analysis/core-depth-bound", depth is None or diameter <= 2 * depth + 1, detail)
     return [
         _det(
             "analysis/underpass",
@@ -246,6 +272,7 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
             f"core size {analysis.core_size} inside giant={analysis.core_in_giant}",
             p_value=None,
         ),
+        bound,
     ]
 
 
@@ -300,40 +327,24 @@ def _check_input_files(coords_path: str, edges_path: str) -> list[CheckResult]:
     return results
 
 
-def _check_radial_ks(seed: int, samples: int) -> CheckResult:
-    params = ModelParams(samples, 0.75, 0.0)
-    ps = sample_fixed(params, seed)
-    stat = stats.kstest(ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, params)))
-    return _prob(
-        "sampler/radial-ks",
-        stat.pvalue,
-        f"D={stat.statistic:.2e} on {samples} radii",
-    )
+def radial_ks(ps: PointSet):
+    """Kolmogorov-Smirnov test of the radii against the model's radial CDF."""
+    return stats.kstest(ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, ps.params)))
 
 
-def _check_angle_chisquare(seed: int, samples: int) -> CheckResult:
-    ps = sample_fixed(ModelParams(samples, 0.75, 0.0), seed)
-    counts = np.bincount(
-        np.minimum((ps.phi / (2.0 * math.pi) * 100).astype(int), 99), minlength=100
-    )
-    res = stats.chisquare(counts)
-    return _prob(
-        "sampler/angle-chisquare",
-        res.pvalue,
-        f"chi2={res.statistic:.1f} over 100 bins",
-    )
+def angle_chisquare(ps: PointSet):
+    """Chi-square test of the angles' counts in 100 equal bins."""
+    bins = np.minimum((ps.phi / (2.0 * math.pi) * 100).astype(int), 99)
+    return stats.chisquare(np.bincount(bins, minlength=100))
 
 
-def _check_fixed_vs_poisson(seed: int, n: int) -> CheckResult:
+def fixed_vs_poisson_ks(seed: int, n: int):
+    """Two-sample KS test of the radii of ``sample_fixed`` at ``seed`` and
+    ``sample_poisson`` at ``seed + 1``, both at mean n; returns the test and
+    the Poisson sample's size."""
     params = ModelParams(n, 0.75, 0.0)
-    fixed = sample_fixed(params, seed)
     poisson = sample_poisson(params, seed + 1)
-    res = stats.ks_2samp(fixed.r, poisson.r)
-    return _prob(
-        "sampler/fixed-vs-poisson-ks",
-        res.pvalue,
-        f"D={res.statistic:.2e} ({len(fixed)} vs {len(poisson)} radii)",
-    )
+    return stats.ks_2samp(sample_fixed(params, seed).r, poisson.r), len(poisson)
 
 
 def _check_poisson_moments(seed: int, trials: int) -> CheckResult:
@@ -373,7 +384,11 @@ def _check_disjoint_independence(seed: int, trials: int) -> CheckResult:
     )
 
 
-def _check_lens_measure(seed: int, samples: int) -> CheckResult:
+def lens_measure(seed: int, samples: int) -> tuple[MonteCarloEstimate, float, float]:
+    """Monte Carlo measure of the lens of points joined to a node at r0 =
+    R/2 (R = 30, alpha 0.75) against ``mu_lens_approx``; returns (estimate,
+    approximation, tolerance). They agree when their gap is within the
+    tolerance, 10% of the approximation plus ``LENS_SLACK * exp(-alpha r0)``."""
     params = ModelParams.from_radius(30.0, 0.75)
     R = params.R
     r0 = R / 2.0
@@ -386,17 +401,7 @@ def _check_lens_measure(seed: int, samples: int) -> CheckResult:
 
     mc = mu_monte_carlo(lens, params, samples, seed=seed)
     tol = 0.10 * approx + LENS_SLACK * math.exp(-params.alpha * r0)
-    gap = abs(mc.value - approx)
-    ok = gap <= tol
-    p = 1.0 if ok else 0.0
-    return CheckResult(
-        "measure/lens-monte-carlo",
-        "probabilistic",
-        ok,
-        f"mc={mc.value:.3e}+-{mc.std_error:.1e} approx={approx:.3e} "
-        f"gap={gap:.2e} tol={tol:.2e} ({samples} samples)",
-        p_value=p,
-    )
+    return mc, approx, tol
 
 
 def run_verify(
@@ -416,11 +421,22 @@ def run_verify(
     results.append(_check_threshold_consistency(rng, 100_000 // scale))
     results.append(_check_theta_decay())
     results.append(_check_ball_measure())
-    results.append(_check_theta_upper(rng, 200 // scale))
+    pairs, excess = theta_upper_excess(rng, 200 // scale)
     results.append(
-        _check_builder_equivalence(rng, (10, 100) if quick else (10, 100, 1000))
+        _det(
+            "graphs/theta-upper-soundness",
+            excess <= 0.0,
+            f"{pairs} band pairs, max(theta_exact - bound) = {excess:.3e}",
+        )
     )
-    results.append(_check_diameter_oracle(rng, 5 if quick else 20))
+    sizes = (10, 10, 100, 100) if quick else (10, 10, 100, 100, 1000, 1000)
+    bad = banded_naive_mismatches(rng, sizes)
+    detail = f"{len(sizes)} graphs, {bad} edge-set mismatches"
+    results.append(_det("graphs/banded-equals-naive", bad == 0, detail))
+    count = 5 if quick else 20
+    bad = diameter_mismatches(rng, count)
+    detail = f"{count} random graphs, {bad} disagreements"
+    results.append(_det("graphs/diameter-equals-apsp", bad == 0, detail))
     results.extend(
         _check_underpass_and_core(
             2000 if quick else 10_000, 10_000 if quick else 100_000, seed
@@ -429,12 +445,29 @@ def run_verify(
     results.append(_check_file_round_trip(seed))
     if coords and edges:
         results.extend(_check_input_files(coords, edges))
-    results.append(_check_radial_ks(seed, 100_000 if quick else 1_000_000))
-    results.append(_check_angle_chisquare(seed + 1, 100_000 if quick else 1_000_000))
-    results.append(_check_fixed_vs_poisson(seed + 2, 50_000 if quick else 100_000))
+    n = 100_000 if quick else 1_000_000
+    ks = radial_ks(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
+    results.append(_prob("sampler/radial-ks", ks.pvalue, f"D={ks.statistic:.2e} on {n} radii"))
+    chi2 = angle_chisquare(sample_fixed(ModelParams(n, 0.75, 0.0), seed + 1))
+    detail = f"chi2={chi2.statistic:.1f} over 100 bins"
+    results.append(_prob("sampler/angle-chisquare", chi2.pvalue, detail))
+    n = 50_000 if quick else 100_000
+    ks, poisson_size = fixed_vs_poisson_ks(seed + 2, n)
+    detail = f"D={ks.statistic:.2e} ({n} vs {poisson_size} radii)"
+    results.append(_prob("sampler/fixed-vs-poisson-ks", ks.pvalue, detail))
     results.append(_check_poisson_moments(seed + 3, 2000 if quick else 10_000))
     results.append(_check_disjoint_independence(seed + 4, 1000 if quick else 5000))
-    results.append(_check_lens_measure(seed + 5, 1_000_000 if quick else 10_000_000))
+    samples = 1_000_000 if quick else 10_000_000
+    mc, approx, tol = lens_measure(seed + 5, samples)
+    gap = abs(mc.value - approx)
+    detail = (
+        f"mc={mc.value:.3e}+-{mc.std_error:.1e} approx={approx:.3e} "
+        f"gap={gap:.2e} tol={tol:.2e} ({samples} samples)"
+    )
+    ok = gap <= tol
+    results.append(
+        CheckResult("measure/lens-monte-carlo", "probabilistic", ok, detail, p_value=float(ok))
+    )
 
     failed = any(not r.passed for r in results)
     return results, (1 if failed else 0)

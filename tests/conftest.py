@@ -2,15 +2,16 @@
 
 The geometry oracles evaluate the defining formulas with mpmath at 60
 digits and stay independent of the library's double-precision code paths.
-The distance oracle runs scipy's all-pairs shortest paths and shares no
-code with the library's BFS or iFUB.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from mpmath import mp
-from scipy.sparse.csgraph import shortest_path
+
+from hrg.geometry import theta_approx
 
 mp.dps = 60
 
@@ -35,11 +36,18 @@ def mp_theta(r, y, R):
     return mp.acos(arg)
 
 
-def apsp_eccentricities(g):
-    """Each node's eccentricity within its own component, from one
-    all-pairs shortest-path matrix (unit edge lengths) over the whole
-    graph; pairs in different components lie at infinity and are ignored.
-    A component's diameter is the largest eccentricity of its nodes."""
-    dist = shortest_path(g.adjacency(), unweighted=True, directed=False)
-    dist[np.isinf(dist)] = 0
-    return dist.max(axis=1).astype(np.int64)
+def mp_theta_decay(R):
+    """Largest relative error of ``theta_approx`` against ``mp_theta``, times
+    exp(r + y - R), over 16 excesses r + y - R from 3 to R, each split five
+    ways between r and y; the analytic rate keeps it below a constant."""
+    worst = 0.0
+    for s in np.geomspace(3.0, R, 16):
+        for split in (0.1, 0.3, 0.5, 0.7, 0.9):
+            r = (R + s) * split
+            y = R + s - r
+            if not (0.0 < r <= R and 0.0 < y <= R):
+                continue
+            exact = mp_theta(r, y, R)
+            rel = abs(theta_approx(r, y, R) - exact) / exact
+            worst = max(worst, float(rel) * math.exp(s))
+    return worst

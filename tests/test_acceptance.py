@@ -17,21 +17,20 @@ import time
 
 import numpy as np
 import pytest
-from conftest import apsp_eccentricities, mp_theta
-from scipy import stats
+from conftest import mp_theta_decay
 
-from hrg.analysis import component_report, exact_diameter
 from hrg.experiments import SweepConfig, run_sweep
-from hrg.geometry import (
-    ModelParams,
-    mu_ball_origin_exact,
-    mu_lens_approx,
-    mu_monte_carlo,
-    theta_approx,
-)
-from hrg.graphgen import build_banded, build_naive
+from hrg.geometry import ModelParams
+from hrg.graphgen import build_banded
 from hrg.sampling import poisson_counts, sample_fixed
-from hrg.verify import THETA_DECAY_BOUND, LENS_SLACK
+from hrg.verify import (
+    THETA_DECAY_BOUND,
+    angle_chisquare,
+    banded_naive_mismatches,
+    diameter_mismatches,
+    lens_measure,
+    radial_ks,
+)
 
 ALPHA = 0.75
 C_PARAM = 0.0
@@ -192,45 +191,22 @@ def test_criterion_7_underpass(sweep_records):
 
 
 def test_criterion_8_geometry_validators():
-    params = ModelParams.from_radius(30.0, ALPHA)
-    R = params.R
-    worst = 0.0
-    for s in np.geomspace(3.0, R, 16):
-        for split in (0.1, 0.3, 0.5, 0.7, 0.9):
-            r = (R + s) * split
-            y = R + s - r
-            if not (0.0 < r <= R and 0.0 < y <= R):
-                continue
-            exact = mp_theta(r, y, R)
-            rel = abs(theta_approx(r, y, R) - exact) / exact
-            worst = max(worst, float(rel) * math.exp(s))
+    worst = mp_theta_decay(ModelParams.from_radius(30.0, ALPHA).R)
     decay_ok = 0.0 < worst <= THETA_DECAY_BOUND
-
-    r0 = R / 2.0
-    sinh_r0, cosh_R = math.sinh(r0), math.cosh(R)
-
-    def lens(radii, phi):
-        lhs = np.cosh(np.abs(radii - r0)) + (1.0 - np.cos(phi)) * np.sinh(radii) * sinh_r0
-        return lhs <= cosh_R
-
-    mc = mu_monte_carlo(lens, params, 10_000_000, seed=41)
-    approx = mu_lens_approx(r0, 0.0, params)
-    tol = 0.10 * approx + LENS_SLACK * math.exp(-ALPHA * r0)
-    lens_ok = abs(mc.value - approx) <= tol
+    mc, approx, tol = lens_measure(41, 10_000_000)
+    gap = abs(mc.value - approx)
     assert report(
         "criterion-8 geometry validators",
-        decay_ok and lens_ok,
+        decay_ok and gap <= tol,
         f"theta decay ratio max {worst:.3f} <= {THETA_DECAY_BOUND}; lens mc={mc.value:.3e} "
-        f"approx={approx:.3e} gap={abs(mc.value - approx):.2e} tol={tol:.2e}",
+        f"approx={approx:.3e} gap={gap:.2e} tol={tol:.2e}",
     )
 
 
 def test_criterion_9_sampler_fidelity():
-    params = ModelParams(1_000_000, ALPHA, C_PARAM)
-    ps = sample_fixed(params, 42)
-    ks = stats.kstest(ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, params)))
-    bins = np.minimum((ps.phi / (2.0 * math.pi) * 100).astype(int), 99)
-    chi2 = stats.chisquare(np.bincount(bins, minlength=100))
+    ps = sample_fixed(ModelParams(1_000_000, ALPHA, C_PARAM), 42)
+    ks = radial_ks(ps)
+    chi2 = angle_chisquare(ps)
 
     small = ModelParams(100, ALPHA, C_PARAM)
     counts = poisson_counts(small, 100_000, seed=0)
@@ -254,33 +230,16 @@ def test_criterion_9_sampler_fidelity():
 
 
 def test_criterion_10_oracle_equivalences():
+    # both loops draw from one generator, the builder comparisons first
     rng = np.random.default_rng(43)
-    builder_mismatches = 0
     sizes = [10] * 10 + [100] * 10 + [500] * 10 + [1000] * 10 + [2000] * 10
-    for n in sizes:
-        ps = sample_fixed(ModelParams(n, ALPHA, C_PARAM), int(rng.integers(2**63)))
-        if not np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows()):
-            builder_mismatches += 1
-
-    diameter_mismatches = 0
-    checked = 0
-    while checked < 100:
-        n = int(rng.integers(10, 301))
-        ps = sample_fixed(ModelParams(n, ALPHA, C_PARAM), int(rng.integers(2**63)))
-        g = build_banded(ps)
-        comps = component_report(g)
-        nodes = np.flatnonzero(comps.labels == comps.giant_label)
-        if nodes.size < 2:
-            continue
-        if exact_diameter(g, nodes) != apsp_eccentricities(g)[nodes].max():
-            diameter_mismatches += 1
-        checked += 1
-    ok = builder_mismatches == 0 and diameter_mismatches == 0
+    builder_bad = banded_naive_mismatches(rng, sizes)
+    diameter_bad = diameter_mismatches(rng, 100)
     assert report(
         "criterion-10 oracle equivalences",
-        ok,
-        f"{len(sizes)} builder comparisons ({builder_mismatches} mismatches), "
-        f"{checked} diameter comparisons ({diameter_mismatches} mismatches)",
+        builder_bad == 0 and diameter_bad == 0,
+        f"{len(sizes)} builder comparisons ({builder_bad} mismatches), "
+        f"100 diameter comparisons ({diameter_bad} mismatches)",
     )
 
 

@@ -545,16 +545,43 @@ class TestVerify:
         assert "checks passed" in out
 
     def test_sampler_count_details_frozen(self):
-        # recorded before the count checks stopped building point sets; the
-        # drawn counts, and so these strings, must not change
+        # every line of the quick suite: the draws, and so these strings,
+        # must not change when a check's body moves or is shared
         results, code = run_verify(quick=True, seed=123)
-        details = {r.name: r.detail for r in results}
         assert code == 0
-        assert details["sampler/poisson-count-moments"] == "mean=99.82 var=102.6 over 2000 draws"
-        assert (
-            details["sampler/disjoint-independence"]
-            == "count correlation -0.0219 over 1000 trials"
-        )
+        assert [(r.name, r.detail) for r in results] == [
+            ("geometry/distance-identities",
+             "symmetric=True radial_err=0.00e+00 triangle_slack=-8.67e+00 R=18.42"),
+            ("geometry/threshold-consistency",
+             "10000 radius pairs, edge below threshold / non-edge above"),
+            ("geometry/theta-approx-decay", "max relerr*exp(r+y-R) = 0.169 <= 1.0"),
+            ("geometry/ball-measure-asymptotic", "relative gap 1.44e-08 at r=R/2, R=50.0"),
+            ("graphs/theta-upper-soundness",
+             "227 band pairs, max(theta_exact - bound) = -9.967e-10"),
+            ("graphs/banded-equals-naive", "4 graphs, 0 edge-set mismatches"),
+            ("graphs/diameter-equals-apsp", "5 random graphs, 0 disagreements"),
+            ("analysis/underpass", "10000 triples, 0 violations (n=2000)"),
+            ("analysis/core-clique", "core size 10"),
+            ("analysis/core-in-giant", "core size 10 inside giant=True"),
+            ("analysis/core-depth-bound",
+             "giant diameter 9 vs 2*core_depth+1 = 11 (depth 5)"),
+            ("files/round-trip", "n=500, m=1032, exact round-trip=True"),
+            ("sampler/radial-ks", "D=3.58e-03 on 100000 radii"),
+            ("sampler/angle-chisquare", "chi2=100.3 over 100 bins"),
+            ("sampler/fixed-vs-poisson-ks", "D=1.00e-02 (50000 vs 49700 radii)"),
+            ("sampler/poisson-count-moments", "mean=99.82 var=102.6 over 2000 draws"),
+            ("sampler/disjoint-independence", "count correlation -0.0219 over 1000 trials"),
+            ("measure/lens-monte-carlo",
+             "mc=1.025e-03+-3.2e-05 approx=1.056e-03 gap=3.13e-05 tol=1.19e-04 "
+             "(1000000 samples)"),
+        ]
+
+    def test_core_depth_bound_without_core_passes(self):
+        # the quick suite's n = 2,000 graph has an empty core at seed 9
+        results, code = run_verify(quick=True, seed=9)
+        line = next(r for r in results if r.name == "analysis/core-depth-bound")
+        assert code == 0 and len(results) == 18
+        assert line.passed and line.detail.startswith("precondition unmet: core of size 0")
 
     def test_injected_fault_detected(self, tmp_path, capsys):
         coords = tmp_path / "c.tsv"

@@ -4,6 +4,7 @@ every function the benchmark's tracer wraps."""
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,26 @@ def test_csr_layout_stays_in_graphgen():
         and any(word in path.read_text(encoding="utf-8") for word in ("indptr", ".indices"))
     ]
     assert not leaks
+
+
+def test_oracles_stay_in_verify():
+    # the all-pairs oracle and the naive builder serve only the checks, so
+    # no hot path can come to depend on them; the word is split so that
+    # this file does not match itself
+    apsp = "shortest_" + "path"
+    tests = PACKAGE.parent.parent / "tests"
+    holders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
+        if apsp in path.read_text(encoding="utf-8")
+    ]
+    assert holders == ["verify.py"]
+    naive_callers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "verify.py"
+        and re.search(r"(?<!def )build_naive\(", path.read_text(encoding="utf-8"))
+    ]
+    assert not naive_callers
+    conftest = (tests / "conftest.py").read_text(encoding="utf-8")
+    assert "apsp" not in conftest and "csgraph" not in conftest

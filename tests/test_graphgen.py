@@ -21,6 +21,7 @@ from hrg.graphgen import (
     theta_upper,
 )
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed, sample_poisson
+from hrg.verify import banded_naive_mismatches, theta_upper_excess
 
 LAYERS = Path(__file__).resolve().parent.parent / "hrgbench" / "layers.py"
 
@@ -57,14 +58,8 @@ class TestBuildNaive:
 
 class TestBandedEquivalence:
     def test_matches_naive_on_fifty_graphs(self):
-        rng = np.random.default_rng(10)
         sizes = [10] * 20 + [100] * 20 + [1000] * 10
-        for n in sizes:
-            params = ModelParams(n, 0.75, 0.0)
-            ps = sample_fixed(params, int(rng.integers(2**63)))
-            fast = build_banded(ps)
-            slow = build_naive(ps)
-            assert np.array_equal(fast.edge_rows(), slow.edge_rows())
+        assert banded_naive_mismatches(np.random.default_rng(10), sizes) == 0
 
     def test_matches_naive_on_poisson_mode(self):
         ps = sample_poisson(ModelParams(300, 0.75, 0.0), 4)
@@ -167,23 +162,9 @@ class TestThetaUpper:
         assert theta_upper(1, 1, 200.0) < 1e-8  # guard floor, still vanishing
 
     def test_soundness_against_exact_threshold(self):
-        rng = np.random.default_rng(11)
-        samples = 0
-        for n in (2**11, 10**4, 2 * 10**5):
-            R = ModelParams(n, 0.75, 0.0).R
-            top = int(math.floor(R)) + 1
-            for i in range(1, top + 1):
-                for j in range(i, top + 1):
-                    bound = theta_upper(i, j, R)
-                    if bound >= math.pi:
-                        continue
-                    r = rng.uniform(R - i, R - i + 1.0, 500)
-                    y = rng.uniform(R - j, R - j + 1.0, 500)
-                    worst = float(np.max(theta_exact(r, y, R)))
-                    edge = theta_exact(R - i + 1e-12, R - j + 1e-12, R)
-                    assert max(worst, edge) <= bound
-                    samples += 500
-        assert samples >= 100_000
+        pairs, excess = theta_upper_excess(np.random.default_rng(11), 500)
+        assert excess <= 0.0
+        assert pairs * 500 >= 100_000
 
 
 class TestGraphStructure:

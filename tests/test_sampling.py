@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from hrg.geometry import TWO_PI, ModelParams, mu_ball_origin_exact
 from hrg.sampling import (
@@ -17,6 +16,7 @@ from hrg.sampling import (
     sample_fixed,
     sample_poisson,
 )
+from hrg.verify import angle_chisquare, fixed_vs_poisson_ks, radial_ks
 
 
 class TestRadialIcdf:
@@ -57,18 +57,10 @@ class TestSampleFixed:
         assert not np.array_equal(a.r, c.r)
 
     def test_radial_ks_at_one_percent(self):
-        params = ModelParams(1_000_000, 0.75, 0.0)
-        ps = sample_fixed(params, 5)
-        result = stats.kstest(
-            ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, params))
-        )
-        assert result.pvalue > 0.01
+        assert radial_ks(sample_fixed(ModelParams(1_000_000, 0.75, 0.0), 5)).pvalue > 0.01
 
     def test_angle_chisquare_at_one_percent(self):
-        ps = sample_fixed(ModelParams(1_000_000, 0.75, 0.0), 6)
-        bins = np.minimum((ps.phi / TWO_PI * 100).astype(int), 99)
-        result = stats.chisquare(np.bincount(bins, minlength=100))
-        assert result.pvalue > 0.01
+        assert angle_chisquare(sample_fixed(ModelParams(1_000_000, 0.75, 0.0), 6)).pvalue > 0.01
 
 
 class TestSamplePoisson:
@@ -100,10 +92,7 @@ class TestSamplePoisson:
         assert stirling / 2.0 <= emp <= stirling * 2.0
 
     def test_same_marginal_as_fixed(self):
-        params = ModelParams(100_000, 0.75, 0.0)
-        fixed = sample_fixed(params, 21)
-        poisson = sample_poisson(params, 22)
-        result = stats.ks_2samp(fixed.r, poisson.r)
+        result, _ = fixed_vs_poisson_ks(21, 100_000)
         assert result.pvalue > 0.01
 
 
