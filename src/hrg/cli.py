@@ -9,6 +9,13 @@ Subcommands: ``generate`` (coordinates + edges for one seed), ``analyze``
 parent builds the graph and writes the edge file, so it needs POSIX
 ``os.fork``. On exit 3 either file may be incomplete, and a failed
 coordinate write no longer keeps the edge file from being written.
+
+``verify`` also forks one child, for the checks that take only the seed
+(underpass and core, file round-trip, the sampler tests), while the
+parent runs the checks that share one generator, in draw order, and the
+lens measure. The ``--coords``/``--edges`` checks stay in the parent, so
+that a bad input file exits 4 with its real line number. The lines print
+in one order whichever process ran them.
 """
 
 from __future__ import annotations
@@ -62,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    import os
-
+    from ._fork import fork_call
     from .files import write_coords, write_edges
     from .geometry import ModelParams
     from .graphgen import build_banded
@@ -81,37 +87,20 @@ def _cmd_generate(args) -> int:
     # The coordinate file depends only on the sample: one forked child writes
     # it while this process builds the graph and writes the edge file.
     with open(args.out_coords, "w", encoding="utf-8") as coords_fh:
-        read_end, write_end = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if pid == 0:
-            # the child leaves only by os._exit: it never returns into the
-            # caller's stack, nor flushes the stdout buffer it inherited
-            exit_code = 1
-            try:
-                write_coords(coords_fh, ps)
-                coords_fh.close()
-                exit_code = 0
-            except OSError as exc:
-                os.write(write_end, str(exc).encode())
-            finally:
-                os._exit(exit_code)
-        os.close(write_end)
-    try:
-        g = build_banded(ps)
-        with open(args.out_edges, "w", encoding="utf-8") as fh:
-            write_edges(fh, g)
-    finally:
-        _, status = os.waitpid(pid, 0)
-        with os.fdopen(read_end, "rb") as pipe:
-            child_error = pipe.read().decode()
-    if child_error or status:
-        exit_code = os.waitstatus_to_exitcode(status)
-        raise OSError(child_error or f"coordinate writer exited with code {exit_code}")
+
+        def write_coordinate_file():
+            write_coords(coords_fh, ps)
+            coords_fh.close()
+
+        def build_and_write_edges():
+            g = build_banded(ps)
+            with open(args.out_edges, "w", encoding="utf-8") as fh:
+                write_edges(fh, g)
+            return g
+
+        g, _ = fork_call(
+            write_coordinate_file, build_and_write_edges, "coordinate writer", OSError
+        )
     mode = MODE_POISSON if args.poisson else MODE_FIXED
     print(f"wrote {len(ps)} points and {g.m} edges (mode={mode}, R={params.R:.6g})")
     return EXIT_OK

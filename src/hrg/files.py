@@ -51,7 +51,13 @@ class DataFormatError(Exception):
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")
+        self.message = message
         self.line_number = line_number
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives pickling, such as a
+        # forked check's pipe
+        return type(self), (self.message, self.line_number)
 
 
 def write_coords(stream: TextIO, ps: PointSet) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import stats
 from scipy.sparse.csgraph import shortest_path
 
+from ._fork import fork_call
 from .analysis import (
     ComponentReport,
     analyze_graph,
@@ -404,15 +405,36 @@ def lens_measure(seed: int, samples: int) -> tuple[MonteCarloEstimate, float, fl
     return mc, approx, tol
 
 
-def run_verify(
-    quick: bool = False,
-    seed: int | None = None,
-    coords: str | None = None,
-    edges: str | None = None,
-) -> tuple[list[CheckResult], int]:
-    """Run the suite; returns (results, exit code 0/1)."""
-    if seed is None:
-        seed = int(np.random.SeedSequence().entropy % (2**31))
+def _child_checks(quick: bool, seed: int) -> tuple[list[CheckResult], list[CheckResult]]:
+    """The checks that take only ``seed + k``, run in ``run_verify``'s forked
+    child: (the graph and round-trip lines, the sampler lines)."""
+    results = _check_underpass_and_core(
+        2000 if quick else 10_000, 10_000 if quick else 100_000, seed
+    )
+    results.append(_check_file_round_trip(seed))
+    samplers = []
+    n = 100_000 if quick else 1_000_000
+    ks = radial_ks(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
+    samplers.append(_prob("sampler/radial-ks", ks.pvalue, f"D={ks.statistic:.2e} on {n} radii"))
+    chi2 = angle_chisquare(sample_fixed(ModelParams(n, 0.75, 0.0), seed + 1))
+    detail = f"chi2={chi2.statistic:.1f} over 100 bins"
+    samplers.append(_prob("sampler/angle-chisquare", chi2.pvalue, detail))
+    n = 50_000 if quick else 100_000
+    ks, poisson_size = fixed_vs_poisson_ks(seed + 2, n)
+    detail = f"D={ks.statistic:.2e} ({n} vs {poisson_size} radii)"
+    samplers.append(_prob("sampler/fixed-vs-poisson-ks", ks.pvalue, detail))
+    samplers.append(_check_poisson_moments(seed + 3, 2000 if quick else 10_000))
+    samplers.append(_check_disjoint_independence(seed + 4, 1000 if quick else 5000))
+    return results, samplers
+
+
+def _parent_checks(
+    quick: bool, seed: int, coords: str | None, edges: str | None
+) -> tuple[list[CheckResult], list[CheckResult], CheckResult]:
+    """The checks that draw from one generator seeded with ``seed``, in draw
+    order, then the input-file checks and the lens measure, run in
+    ``run_verify``'s own process: (the chain's lines, the input-file lines,
+    the lens line)."""
     rng = np.random.default_rng(seed)
     scale = 10 if quick else 1
 
@@ -437,26 +459,7 @@ def run_verify(
     bad = diameter_mismatches(rng, count)
     detail = f"{count} random graphs, {bad} disagreements"
     results.append(_det("graphs/diameter-equals-apsp", bad == 0, detail))
-    results.extend(
-        _check_underpass_and_core(
-            2000 if quick else 10_000, 10_000 if quick else 100_000, seed
-        )
-    )
-    results.append(_check_file_round_trip(seed))
-    if coords and edges:
-        results.extend(_check_input_files(coords, edges))
-    n = 100_000 if quick else 1_000_000
-    ks = radial_ks(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
-    results.append(_prob("sampler/radial-ks", ks.pvalue, f"D={ks.statistic:.2e} on {n} radii"))
-    chi2 = angle_chisquare(sample_fixed(ModelParams(n, 0.75, 0.0), seed + 1))
-    detail = f"chi2={chi2.statistic:.1f} over 100 bins"
-    results.append(_prob("sampler/angle-chisquare", chi2.pvalue, detail))
-    n = 50_000 if quick else 100_000
-    ks, poisson_size = fixed_vs_poisson_ks(seed + 2, n)
-    detail = f"D={ks.statistic:.2e} ({n} vs {poisson_size} radii)"
-    results.append(_prob("sampler/fixed-vs-poisson-ks", ks.pvalue, detail))
-    results.append(_check_poisson_moments(seed + 3, 2000 if quick else 10_000))
-    results.append(_check_disjoint_independence(seed + 4, 1000 if quick else 5000))
+    files = _check_input_files(coords, edges) if coords and edges else []
     samples = 1_000_000 if quick else 10_000_000
     mc, approx, tol = lens_measure(seed + 5, samples)
     gap = abs(mc.value - approx)
@@ -465,9 +468,33 @@ def run_verify(
         f"gap={gap:.2e} tol={tol:.2e} ({samples} samples)"
     )
     ok = gap <= tol
-    results.append(
-        CheckResult("measure/lens-monte-carlo", "probabilistic", ok, detail, p_value=float(ok))
-    )
+    lens = CheckResult("measure/lens-monte-carlo", "probabilistic", ok, detail, p_value=float(ok))
+    return results, files, lens
 
+
+def run_verify(
+    quick: bool = False,
+    seed: int | None = None,
+    coords: str | None = None,
+    edges: str | None = None,
+) -> tuple[list[CheckResult], int]:
+    """Run the suite; returns (results, exit code 0/1).
+
+    The checks that take only ``seed + k`` (underpass and core, file
+    round-trip, the five sampler tests) run in one forked child, so the
+    suite needs POSIX ``os.fork``. This process meanwhile runs the checks
+    that share one generator, in draw order, the lens measure and the
+    ``coords``/``edges`` checks; the latter stay here so that a bad input
+    file raises its ``DataFormatError`` (exit 4, real line number) where
+    the CLI reports it. The lines keep one order whichever process ran
+    them."""
+    if seed is None:
+        seed = int(np.random.SeedSequence().entropy % (2**31))
+    (chain, files, lens), (graphs, samplers) = fork_call(
+        lambda: _child_checks(quick, seed),
+        lambda: _parent_checks(quick, seed, coords, edges),
+        "verify child",
+    )
+    results = chain + graphs + files + samplers + [lens]
     failed = any(not r.passed for r in results)
     return results, (1 if failed else 0)

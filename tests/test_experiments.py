@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from hrg._fork import fork_call
 from hrg.cli import main
 from hrg.experiments import (
     CSV_COLUMNS,
@@ -64,6 +65,19 @@ def in_process_files(n, seed, poisson=False):
 def generate_argv(coords, edges, n=10, seed=0):
     return ["generate", "--n", str(n), "--seed", str(seed),
             "--out-coords", str(coords), "--out-edges", str(edges)]
+
+
+def main_after_print(argv):
+    """Runs ``hrg.cli.main(argv)`` in a fresh interpreter that first prints
+    "before" into its piped stdout. The pipe is block-buffered, so "before"
+    is still in the buffer when the command forks: a child that flushed the
+    buffer it inherited would print it twice."""
+    script = "import sys; from hrg.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
+    src = os.path.dirname(os.path.dirname(sys.modules["hrg"].__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)  # it would flush "before" at once
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
 
 
 class TestGenerate:
@@ -146,14 +160,8 @@ class TestGenerate:
         assert_no_child_left()
 
     def test_child_leaves_inherited_stdout_buffer_alone(self, tmp_path):
-        # a piped stdout is block-buffered, so "before" is still in the
-        # buffer when generate forks: a child that flushed it would print it twice
-        script = "import sys; from hrg.cli import main; print('before'); sys.exit(main(sys.argv[1:]))"
         argv = generate_argv(tmp_path / "c.tsv", tmp_path / "e.tsv", n=100, seed=3)
-        src = os.path.dirname(os.path.dirname(sys.modules["hrg"].__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = main_after_print(argv)
         assert proc.returncode == 0, proc.stderr
         _, _, points, m = in_process_files(100, 3)
         assert proc.stdout.splitlines() == [
@@ -534,6 +542,73 @@ class TestSweep:
         assert rows[1].split(",")[0] == "128"
 
 
+# Every line of run_verify(quick=True, seed=123), in order: the draws, and
+# so these strings, must not change when a check's body moves, is shared or
+# runs in the forked child.
+QUICK_SEED_123 = [
+    ("geometry/distance-identities",
+     "symmetric=True radial_err=0.00e+00 triangle_slack=-8.67e+00 R=18.42"),
+    ("geometry/threshold-consistency",
+     "10000 radius pairs, edge below threshold / non-edge above"),
+    ("geometry/theta-approx-decay", "max relerr*exp(r+y-R) = 0.169 <= 1.0"),
+    ("geometry/ball-measure-asymptotic", "relative gap 1.44e-08 at r=R/2, R=50.0"),
+    ("graphs/theta-upper-soundness",
+     "227 band pairs, max(theta_exact - bound) = -9.967e-10"),
+    ("graphs/banded-equals-naive", "4 graphs, 0 edge-set mismatches"),
+    ("graphs/diameter-equals-apsp", "5 random graphs, 0 disagreements"),
+    ("analysis/underpass", "10000 triples, 0 violations (n=2000)"),
+    ("analysis/core-clique", "core size 10"),
+    ("analysis/core-in-giant", "core size 10 inside giant=True"),
+    ("analysis/core-depth-bound",
+     "giant diameter 9 vs 2*core_depth+1 = 11 (depth 5)"),
+    ("files/round-trip", "n=500, m=1032, exact round-trip=True"),
+    ("sampler/radial-ks", "D=3.58e-03 on 100000 radii"),
+    ("sampler/angle-chisquare", "chi2=100.3 over 100 bins"),
+    ("sampler/fixed-vs-poisson-ks", "D=1.00e-02 (50000 vs 49700 radii)"),
+    ("sampler/poisson-count-moments", "mean=99.82 var=102.6 over 2000 draws"),
+    ("sampler/disjoint-independence", "count correlation -0.0219 over 1000 trials"),
+    ("measure/lens-monte-carlo",
+     "mc=1.025e-03+-3.2e-05 approx=1.056e-03 gap=3.13e-05 tol=1.19e-04 "
+     "(1000000 samples)"),
+]
+
+
+class TestForkCall:
+    def test_results_of_both_sides(self):
+        assert fork_call(lambda: [1, 2], lambda: "parent", "probe") == ("parent", [1, 2])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("what", ["result", "exception"])
+    def test_unpicklable_child_outcome_is_child_error(self, what):
+        def child():
+            if what == "result":
+                return lambda: None
+            exc = RuntimeError("unpicklable")
+            exc.hook = lambda: None
+            raise exc
+
+        with pytest.raises(ChildProcessError, match="^probe exited with code 1$"):
+            fork_call(child, lambda: None, "probe")
+        assert_no_child_left()
+
+    def test_exception_outside_errors_is_child_error(self):
+        def child():
+            raise ValueError("not an I/O error")
+
+        with pytest.raises(ChildProcessError, match="^probe exited with code 1$"):
+            fork_call(child, lambda: None, "probe", OSError)
+        assert_no_child_left()
+
+    def test_data_format_error_keeps_its_line(self):
+        def child():
+            read_edges(io.StringIO("0\t1\n1\t1\n"), 2)
+
+        with pytest.raises(DataFormatError) as info:
+            fork_call(child, lambda: None, "probe")
+        assert info.value.line_number == 2 and str(info.value) == "line 2: self-loop at id 1"
+        assert_no_child_left()
+
+
 class TestVerify:
     def test_quick_passes_under_a_minute(self, capsys):
         start = time.perf_counter()
@@ -545,36 +620,50 @@ class TestVerify:
         assert "checks passed" in out
 
     def test_sampler_count_details_frozen(self):
-        # every line of the quick suite: the draws, and so these strings,
-        # must not change when a check's body moves or is shared
         results, code = run_verify(quick=True, seed=123)
         assert code == 0
-        assert [(r.name, r.detail) for r in results] == [
-            ("geometry/distance-identities",
-             "symmetric=True radial_err=0.00e+00 triangle_slack=-8.67e+00 R=18.42"),
-            ("geometry/threshold-consistency",
-             "10000 radius pairs, edge below threshold / non-edge above"),
-            ("geometry/theta-approx-decay", "max relerr*exp(r+y-R) = 0.169 <= 1.0"),
-            ("geometry/ball-measure-asymptotic", "relative gap 1.44e-08 at r=R/2, R=50.0"),
-            ("graphs/theta-upper-soundness",
-             "227 band pairs, max(theta_exact - bound) = -9.967e-10"),
-            ("graphs/banded-equals-naive", "4 graphs, 0 edge-set mismatches"),
-            ("graphs/diameter-equals-apsp", "5 random graphs, 0 disagreements"),
-            ("analysis/underpass", "10000 triples, 0 violations (n=2000)"),
-            ("analysis/core-clique", "core size 10"),
-            ("analysis/core-in-giant", "core size 10 inside giant=True"),
-            ("analysis/core-depth-bound",
-             "giant diameter 9 vs 2*core_depth+1 = 11 (depth 5)"),
-            ("files/round-trip", "n=500, m=1032, exact round-trip=True"),
-            ("sampler/radial-ks", "D=3.58e-03 on 100000 radii"),
-            ("sampler/angle-chisquare", "chi2=100.3 over 100 bins"),
-            ("sampler/fixed-vs-poisson-ks", "D=1.00e-02 (50000 vs 49700 radii)"),
-            ("sampler/poisson-count-moments", "mean=99.82 var=102.6 over 2000 draws"),
-            ("sampler/disjoint-independence", "count correlation -0.0219 over 1000 trials"),
-            ("measure/lens-monte-carlo",
-             "mc=1.025e-03+-3.2e-05 approx=1.056e-03 gap=3.13e-05 tol=1.19e-04 "
-             "(1000000 samples)"),
-        ]
+        assert [(r.name, r.detail) for r in results] == QUICK_SEED_123
+        assert_no_child_left()
+
+    def test_line_order_with_input_files_frozen(self, tmp_path):
+        # the three input-file lines sit between round-trip and radial-KS
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges, n=500, seed=9)) == 0
+        results, code = run_verify(quick=True, seed=123, coords=str(coords), edges=str(edges))
+        assert code == 0
+        assert [(r.name, r.detail) for r in results] == QUICK_SEED_123[:12] + [
+            ("files/input-consistency",
+             "edge file matches rebuild from coordinates=True (file m=975, rebuilt m=975)"),
+            ("files/input-underpass", "20000 triples, 0 violations"),
+            ("files/input-core-clique", "core pairwise adjacency"),
+        ] + QUICK_SEED_123[12:]
+        assert_no_child_left()
+
+    def test_child_check_error_reraised_and_reaped(self, monkeypatch):
+        def broken(seed, trials):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("hrg.verify._check_poisson_moments", broken)
+        with pytest.raises(RuntimeError) as info:
+            run_verify(quick=True, seed=1)
+        assert info.type is RuntimeError and str(info.value) == "boom"
+        assert_no_child_left()
+
+    def test_parent_check_error_propagates_and_reaps(self, monkeypatch):
+        def broken(rng, count):
+            raise RuntimeError("oracle broke")
+
+        monkeypatch.setattr("hrg.verify.diameter_mismatches", broken)
+        with pytest.raises(RuntimeError, match="oracle broke"):
+            run_verify(quick=True, seed=1)
+        assert_no_child_left()
+
+    def test_child_leaves_inherited_stdout_buffer_alone(self):
+        proc = main_after_print(["verify", "--quick", "--seed", "123"])
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines.count("before") == 1 and lines[0] == "before"
+        assert lines[-1] == "18/18 checks passed"
 
     def test_core_depth_bound_without_core_passes(self):
         # the quick suite's n = 2,000 graph has an empty core at seed 9
