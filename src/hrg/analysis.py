@@ -4,7 +4,9 @@ Connected components, exact diameters (iFUB), degree statistics with a
 tail-exponent fit, inner-band diagnostics, sector-run statistics, and
 deterministic geometric consistency checks. All functions take an
 immutable :class:`~hrg.graphgen.Graph` or :class:`~hrg.sampling.PointSet`
-and are safe to run concurrently.
+and are safe to run concurrently. scipy is imported only inside
+:func:`connected_components`, the component labeler, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from .geometry import TWO_PI, ModelParams, angle_gaps
 from .graphgen import Graph, arc_ranges
@@ -68,9 +69,11 @@ def connected_components(g: Graph) -> np.ndarray:
     component contains, which makes the labeling deterministic. Strong
     components of the symmetric CSR are its connected components, and
     scipy finds them without the transposed copy its undirected mode makes."""
+    from scipy.sparse.csgraph import connected_components as scipy_components
+
     if g.n == 0:
         return np.empty(0, dtype=np.int64)
-    count, raw = _scipy_components(g.adjacency(), directed=True, connection="strong")
+    count, raw = scipy_components(g.adjacency(), directed=True, connection="strong")
     first = np.full(count, g.n, dtype=np.int64)
     np.minimum.at(first, raw, np.arange(g.n, dtype=np.int64))
     return first[raw]

@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import TextIO
@@ -181,6 +180,8 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run every cell; records come back in (n, seed) order, as the cells are listed."""
     cells = [(n, seed) for n in config.n_values for seed in range(1, config.seeds + 1)]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             return list(pool.map(_run_cell, [config] * len(cells), *zip(*cells)))
     return [_run_cell(config, n, seed) for n, seed in cells]

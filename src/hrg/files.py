@@ -10,6 +10,7 @@ no header.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -100,11 +101,12 @@ def _parse_header(line: str) -> tuple[ModelParams, int, str]:
 
 
 def read_coords(stream: TextIO) -> PointSet:
-    header = stream.readline()
-    if not header:
-        raise DataFormatError("empty coordinate file", 1)
-    params, seed, mode = _parse_header(header)
-    (ids, radii, angles), refusal, line_of = _load_rows(stream, _COORD_ROWS)
+    with _decoded(stream):
+        header = stream.readline()
+        if not header:
+            raise DataFormatError("empty coordinate file", 1)
+        params, seed, mode = _parse_header(header)
+        (ids, radii, angles), refusal, line_of = _load_rows(stream, _COORD_ROWS)
     unsequenced = ids != np.arange(ids.size)
     # the domain test, also true for NaN
     outside = ~((radii >= 0.0) & (radii <= params.R) & (angles >= 0.0) & (angles < TWO_PI))
@@ -142,7 +144,8 @@ def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     the error names the first offending line. Rows come back in file order
     as (min id, max id).
     """
-    (a, b), refusal, line_of = _load_rows(stream, _EDGE_ROWS)
+    with _decoded(stream):
+        (a, b), refusal, line_of = _load_rows(stream, _EDGE_ROWS)
     a_missing, b_missing = ((ids < 0) | (ids >= point_count) for ids in (a, b))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     loop = lo == hi
@@ -166,6 +169,30 @@ def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     if refusal is not None:
         raise refusal
     return np.column_stack((lo, hi)).astype(np.int64, copy=False)
+
+
+@contextlib.contextmanager
+def _decoded(stream: TextIO):
+    """Turns a ``UnicodeDecodeError`` while reading ``stream`` into a
+    ``DataFormatError`` naming the first line of its bytes, counted from the
+    start of the file, that does not decode on its own. Text mode decodes
+    8 KB chunks, so the line being read when the error surfaced need not
+    be that line. A stream whose bytes cannot be read again (a pipe) names
+    line 1, which is at or before that line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        line_no = 1
+        raw = getattr(stream, "buffer", None)
+        if raw is not None and raw.seekable():
+            raw.seek(0)
+            for number, line in enumerate(raw, 1):
+                try:
+                    line.decode(exc.encoding)
+                except UnicodeDecodeError as bad:
+                    exc, line_no = bad, number
+                    break
+        raise DataFormatError(f"not valid {exc.encoding} text ({exc.reason})", line_no) from None
 
 
 def _load_rows(stream: TextIO, row_format: tuple):

@@ -16,6 +16,8 @@ including ties at the threshold.
 stored adjacency: ``Graph.edge_rows`` derives the canonical edge rows from
 it. Only this module reads the CSR, other modules call ``Graph.neighbors``.
 The array helpers ``concatenated_ranges`` and ``arc_ranges`` live here too.
+The builders run on numpy alone; scipy is imported only inside
+``Graph.adjacency``, which hands the CSR to scipy's graph routines.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .geometry import TWO_PI, edge_mask
 from .sampling import PointSet
@@ -125,8 +126,10 @@ class Graph:
         forward = src < dst
         return np.column_stack((src.compress(forward), dst.compress(forward)))
 
-    def adjacency(self) -> csr_matrix:
-        """The CSR adjacency as a scipy sparse matrix with unit entries."""
+    def adjacency(self):
+        """The CSR adjacency as a scipy ``csr_matrix`` with unit entries."""
+        from scipy.sparse import csr_matrix
+
         data = np.ones(self.indices.size, dtype=np.int8)
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 

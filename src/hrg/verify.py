@@ -8,6 +8,11 @@ oracle agreement, forced-edge and clique properties, file round-trips)
 must all hold; any failure is a defect. Statistical checks (sampler
 goodness-of-fit, Poisson moments, independence, Monte Carlo measure
 agreement) report p-values or margins and only fail below the 0.1% level.
+
+``scipy.stats`` and ``scipy.sparse.csgraph`` are imported inside the
+functions that call them, so importing this module does not load scipy.
+``run_verify`` imports both before it forks, so that its child inherits
+them instead of importing them again on every call.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.sparse.csgraph import shortest_path
 
 from ._fork import fork_call
 from .analysis import (
@@ -207,6 +210,8 @@ def apsp_eccentricities(g: Graph) -> np.ndarray:
     all-pairs shortest-path matrix over the whole graph (pairs in different
     components are ignored), so a component's diameter is the largest of
     its nodes'. It shares no code with the library's BFS or iFUB."""
+    from scipy.sparse.csgraph import shortest_path
+
     dist = shortest_path(g.adjacency(), unweighted=True, directed=False)
     dist[np.isinf(dist)] = 0
     return dist.max(axis=1).astype(np.int64)
@@ -330,11 +335,15 @@ def _check_input_files(coords_path: str, edges_path: str) -> list[CheckResult]:
 
 def radial_ks(ps: PointSet):
     """Kolmogorov-Smirnov test of the radii against the model's radial CDF."""
+    from scipy import stats
+
     return stats.kstest(ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, ps.params)))
 
 
 def angle_chisquare(ps: PointSet):
     """Chi-square test of the angles' counts in 100 equal bins."""
+    from scipy import stats
+
     bins = np.minimum((ps.phi / (2.0 * math.pi) * 100).astype(int), 99)
     return stats.chisquare(np.bincount(bins, minlength=100))
 
@@ -343,9 +352,18 @@ def fixed_vs_poisson_ks(seed: int, n: int):
     """Two-sample KS test of the radii of ``sample_fixed`` at ``seed`` and
     ``sample_poisson`` at ``seed + 1``, both at mean n; returns the test and
     the Poisson sample's size."""
+    from scipy import stats
+
     params = ModelParams(n, 0.75, 0.0)
     poisson = sample_poisson(params, seed + 1)
     return stats.ks_2samp(sample_fixed(params, seed).r, poisson.r), len(poisson)
+
+
+def _two_sided_p(z: float) -> float:
+    """Two-sided p-value of a standard normal statistic."""
+    from scipy import stats
+
+    return 2.0 * stats.norm.sf(abs(z))
 
 
 def _check_poisson_moments(seed: int, trials: int) -> CheckResult:
@@ -354,7 +372,7 @@ def _check_poisson_moments(seed: int, trials: int) -> CheckResult:
     mean = counts.mean()
     var = counts.var(ddof=1)
     z = (mean - 100.0) / math.sqrt(100.0 / trials)
-    p = 2.0 * stats.norm.sf(abs(z))
+    p = _two_sided_p(z)
     ok_var = 0.8 <= var / 100.0 <= 1.2
     result = _prob(
         "sampler/poisson-count-moments",
@@ -377,7 +395,7 @@ def _check_disjoint_independence(seed: int, trials: int) -> CheckResult:
     )
     # Fisher z-transform for the null of zero correlation
     z = 0.5 * math.log((1 + corr) / (1 - corr)) * math.sqrt(trials - 3)
-    p = 2.0 * stats.norm.sf(abs(z))
+    p = _two_sided_p(z)
     return _prob(
         "sampler/disjoint-independence",
         p,
@@ -488,6 +506,11 @@ def run_verify(
     file raises its ``DataFormatError`` (exit 4, real line number) where
     the CLI reports it. The lines keep one order whichever process ran
     them."""
+    # imported here, before the fork, so that the child inherits them
+    # instead of importing them again on every call
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.stats  # noqa: F401
+
     if seed is None:
         seed = int(np.random.SeedSequence().entropy % (2**31))
     (chain, files, lens), (graphs, samplers) = fork_call(

@@ -377,6 +377,51 @@ class TestAnalyze:
         assert np.array_equal(build_banded(ps_back).edge_rows(), g.edge_rows())
 
 
+class TestUndecodableInput:
+    """One byte that is not UTF-8 exits 4 naming its line. The files span
+    several of text mode's 8 KB decoding chunks, so the line being read
+    when the decoder fails is not the bad one."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges, n=2000, seed=1)) == 0
+        return coords, edges
+
+    @staticmethod
+    def spoil(path, line_no):
+        lines = path.read_bytes().split(b"\n")
+        lines[line_no - 1] = lines[line_no - 1][:3] + b"\xff" + lines[line_no - 1][3:]
+        path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize("which, line_no", [("coords", 1), ("coords", 1500), ("edges", 4000)])
+    def test_analyze_names_the_line(self, files, capsys, which, line_no):
+        coords, edges = files
+        self.spoil(coords if which == "coords" else edges, line_no)
+        capsys.readouterr()
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        assert f"inconsistent data: line {line_no}: not valid utf-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, line_no", [("coords", 1500), ("edges", 4000)])
+    def test_verify_input_files_name_the_line(self, files, capsys, which, line_no):
+        coords, edges = files
+        self.spoil(coords if which == "coords" else edges, line_no)
+        capsys.readouterr()
+        argv = ["verify", "--quick", "--seed", "123", "--coords", str(coords), "--edges", str(edges)]
+        assert run_cli(argv) == 4
+        assert f"inconsistent data: line {line_no}: not valid utf-8 text" in capsys.readouterr().err
+        assert_no_child_left()
+
+    def test_pipe_names_line_one(self):
+        # a pipe's bytes cannot be read again: line 1 is at or before the bad one
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"0\t1\n1\t2\n2\t\xff3\n")
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as fh, pytest.raises(DataFormatError) as err:
+            read_edges(fh, 4)
+        assert err.value.line_number == 1
+
+
 class TestEdgeFileValidation:
     def test_self_loop_and_duplicate(self, tmp_path):
         import io

@@ -1,10 +1,16 @@
 """Every exported name of the package and its modules resolves, and so does
-every function the benchmark's tracer wraps."""
+every function the benchmark's tracer wraps. scipy loads only inside the
+functions that call it, so ``hrg generate`` runs without it."""
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +84,82 @@ def test_oracles_stay_in_verify():
     assert not naive_callers
     conftest = (tests / "conftest.py").read_text(encoding="utf-8")
     assert "apsp" not in conftest and "csgraph" not in conftest
+
+
+def scipy_imports_outside_functions(source: str) -> list[int]:
+    """Line numbers of the ``import scipy...``/``from scipy...`` statements
+    that run when the module is imported: those outside every function."""
+    tree = ast.parse(source)
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    deferred = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, functions)
+        for node in ast.walk(func)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in deferred
+        and (
+            isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+        )
+    ]
+
+
+def test_scipy_imports_stay_inside_functions():
+    assert scipy_imports_outside_functions("import scipy.stats\ndef f():\n    import scipy\n") == [1]
+    assert scipy_imports_outside_functions("if True:\n    from scipy import stats\n") == [2]
+    eager = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := scipy_imports_outside_functions(path.read_text(encoding="utf-8")))
+    }
+    assert not eager
+
+
+def run_fresh(script: str, *argv: str) -> str:
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    package's sources, so no module a test loaded is already there."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_generate_runs_without_scipy(tmp_path):
+    script = """
+import contextlib, io, json, sys
+import hrg, hrg.cli, hrg.files, hrg.experiments, hrg.verify
+argv = ["generate", "--n", "2048", "--seed", "1",
+        "--out-coords", sys.argv[1], "--out-edges", sys.argv[2]]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hrg.cli.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+    out = run_fresh(script, str(tmp_path / "c.tsv"), str(tmp_path / "e.tsv"))
+    assert json.loads(out) == [0, []]
+
+
+def test_verify_imports_scipy_before_it_forks():
+    # a child that imported them itself would pay the import on every call
+    script = """
+import json, sys
+from hrg import verify
+
+class Stop(Exception):
+    pass
+
+def probe(child, parent, name, errors=Exception):
+    print(json.dumps(sorted(m for m in ("scipy.stats", "scipy.sparse.csgraph") if m in sys.modules)))
+    raise Stop
+
+verify.fork_call = probe
+try:
+    verify.run_verify(quick=True, seed=1)
+except Stop:
+    pass
+"""
+    assert json.loads(run_fresh(script)) == ["scipy.sparse.csgraph", "scipy.stats"]
