@@ -4,9 +4,9 @@ Connected components, exact diameters (iFUB), degree statistics with a
 tail-exponent fit, inner-band diagnostics, sector-run statistics, and
 deterministic geometric consistency checks. All functions take an
 immutable :class:`~hrg.graphgen.Graph` or :class:`~hrg.sampling.PointSet`
-and are safe to run concurrently. scipy is imported only inside
-:func:`connected_components`, the component labeler, so importing this
-module does not load it.
+and are safe to run concurrently. One BFS from the core (radius <= R/2)
+labels the core's component and gives the core-to-inner-band hops; the
+module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ def bfs_distances(g: Graph, sources) -> np.ndarray:
     """Hop distances from a source set; -1 marks unreachable nodes."""
     dist = np.full(g.n, -1, dtype=np.int64)
     frontier = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if frontier.size == 0:
-        return dist
     dist[frontier] = 0
     level = 0
     while frontier.size:
@@ -64,19 +62,28 @@ def bfs_distances(g: Graph, sources) -> np.ndarray:
     return dist
 
 
-def connected_components(g: Graph) -> np.ndarray:
-    """Component label per node; the label is the smallest node id the
-    component contains, which makes the labeling deterministic. Strong
-    components of the symmetric CSR are its connected components, and
-    scipy finds them without the transposed copy its undirected mode makes."""
-    from scipy.sparse.csgraph import connected_components as scipy_components
+def connected_components(g: Graph, core_hops: np.ndarray) -> np.ndarray:
+    """Component label per node: the smallest node id of its component.
 
-    if g.n == 0:
-        return np.empty(0, dtype=np.int64)
-    count, raw = scipy_components(g.adjacency(), directed=True, connection="strong")
-    first = np.full(count, g.n, dtype=np.int64)
-    np.minimum.at(first, raw, np.arange(g.n, dtype=np.int64))
-    return first[raw]
+    ``core_hops`` is the BFS from the core (radius <= R/2), -1 where
+    unreached. A clique core lies in one component, the one reached, whose
+    nodes take its smallest id. The rest, all nodes if the core is no clique,
+    hook roots to the smallest neighbouring root, then pointer-jump until no
+    label changes, as in FastSV (Zhang, Azad & Hu, SIAM PP 2020).
+    """
+    labels = np.arange(g.n, dtype=np.int64)
+    reached = core_hops >= 0 if check_core_clique(g) else np.zeros(g.n, dtype=bool)
+    labels[reached] = np.flatnonzero(reached)[:1]
+    rest = np.flatnonzero(~reached)
+    src = np.repeat(rest, g.degrees[rest])
+    dst = g.neighbors(rest)
+    while src.size:
+        np.minimum.at(labels, labels[src], labels[dst])  # roots hook to smaller roots only
+        while not np.array_equal(jumped := labels[labels[rest]], labels[rest]):
+            labels[rest] = jumped
+        cross = labels[src] != labels[dst]  # an edge inside one star stays inside
+        src, dst = src[cross], dst[cross]
+    return labels
 
 
 def _component_diameters(g: Graph, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -145,6 +152,7 @@ class ComponentReport:
     ties broken by smallest contained node id), and exact diameters."""
 
     labels: np.ndarray
+    core_hops: np.ndarray  # hops from the core (radius <= R/2), -1 where unreached
     sizes: list[int]
     giant_label: int
     giant_size: int
@@ -154,9 +162,10 @@ class ComponentReport:
 
 
 def component_report(g: Graph) -> ComponentReport:
-    labels = connected_components(g)
+    core_hops = bfs_distances(g, core_node_ids(g))
+    labels = connected_components(g, core_hops)
     if g.n == 0:
-        return ComponentReport(labels, [], -1, 0, 0, 0, 0)
+        return ComponentReport(labels, core_hops, [], -1, 0, 0, 0, 0)
     members = np.argsort(labels, kind="stable")
     uniq, counts = np.unique(labels[members], return_counts=True)
     multi = counts > 1
@@ -165,6 +174,7 @@ def component_report(g: Graph) -> ComponentReport:
     order = np.argsort(-counts, kind="stable")  # uniq ascends: ties by smallest label
     return ComponentReport(
         labels=labels,
+        core_hops=core_hops,
         sizes=counts[order].tolist(),
         giant_label=int(uniq[order[0]]),
         giant_size=int(counts[order[0]]),
@@ -371,19 +381,17 @@ class InnerBandReach:
     anomalies: int
 
 
-def inner_band_hops(g: Graph, c: float = 1.0) -> InnerBandReach:
-    """Maximum BFS hop distance from the core (radius <= R/2) over the
-    inner-band nodes.
+def inner_band_hops(g: Graph, core_hops: np.ndarray, c: float = 1.0) -> InnerBandReach:
+    """Maximum hop distance from the core (radius <= R/2) over the
+    inner-band nodes, read from ``core_hops`` (``ComponentReport.core_hops``).
 
     Inner-band nodes unreachable from the core, all of them when the core
     is empty, are counted as anomalies rather than failures; the implied
     bound on inner-band pairwise distances is 2 * max + 1.
     """
-    inner = np.nonzero(_in_inner_band(g.pointset, c))[0]
-    hops = bfs_distances(g, core_node_ids(g))[inner]
-    reachable = hops[hops >= 0]
+    hops = core_hops[_in_inner_band(g.pointset, c)]
     return InnerBandReach(
-        max_hops=int(reachable.max()) if reachable.size else 0,
+        max_hops=int(hops.max(initial=0)),
         anomalies=int(np.count_nonzero(hops < 0)),
     )
 
@@ -411,7 +419,7 @@ def analyze_graph(g: Graph, inner_c: float = 1.0) -> GraphAnalysis:
         components=comps,
         degrees=degree_stats(g),
         bands=band_diagnostics(g.pointset, inner_c),
-        reach=inner_band_hops(g, inner_c),
+        reach=inner_band_hops(g, comps.core_hops, inner_c),
         core_size=int(core.size),
         core_clique=check_core_clique(g),
         core_in_giant=bool(np.all(comps.labels[core] == comps.giant_label)),

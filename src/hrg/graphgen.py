@@ -16,8 +16,7 @@ including ties at the threshold.
 stored adjacency: ``Graph.edge_rows`` derives the canonical edge rows from
 it. Only this module reads the CSR, other modules call ``Graph.neighbors``.
 The array helpers ``concatenated_ranges`` and ``arc_ranges`` live here too.
-The builders run on numpy alone; scipy is imported only inside
-``Graph.adjacency``, which hands the CSR to scipy's graph routines.
+The module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -125,13 +124,6 @@ class Graph:
         src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(self.indptr[lo : hi + 1]))
         forward = src < dst
         return np.column_stack((src.compress(forward), dst.compress(forward)))
-
-    def adjacency(self):
-        """The CSR adjacency as a scipy ``csr_matrix`` with unit entries."""
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(self.indices.size, dtype=np.int8)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @classmethod
     def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":

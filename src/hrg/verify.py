@@ -9,10 +9,10 @@ must all hold; any failure is a defect. Statistical checks (sampler
 goodness-of-fit, Poisson moments, independence, Monte Carlo measure
 agreement) report p-values or margins and only fail below the 0.1% level.
 
-``scipy.stats`` and ``scipy.sparse.csgraph`` are imported inside the
-functions that call them, so importing this module does not load scipy.
-``run_verify`` imports both before it forks, so that its child inherits
-them instead of importing them again on every call.
+No other module of the package uses scipy, and this one imports it inside
+the functions that call it. ``run_verify`` imports ``scipy.stats`` before
+it forks, so that its child inherits it instead of importing it again on
+every call; the all-pairs oracle's csgraph runs only in the parent.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from ._fork import fork_call
 from .analysis import (
     ComponentReport,
     analyze_graph,
-    bfs_distances,
     check_core_clique,
     check_underpass,
     component_report,
-    core_node_ids,
     exact_diameter,
 )
 from .geometry import (
@@ -210,9 +208,11 @@ def apsp_eccentricities(g: Graph) -> np.ndarray:
     all-pairs shortest-path matrix over the whole graph (pairs in different
     components are ignored), so a component's diameter is the largest of
     its nodes'. It shares no code with the library's BFS or iFUB."""
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    dist = shortest_path(g.adjacency(), unweighted=True, directed=False)
+    upper = coo_matrix((np.ones(g.m), tuple(g.edge_rows().T)), shape=(g.n, g.n))
+    dist = shortest_path(upper, unweighted=True, directed=False)
     dist[np.isinf(dist)] = 0
     return dist.max(axis=1).astype(np.int64)
 
@@ -237,16 +237,16 @@ def diameter_mismatches(rng, count: int) -> int:
     return mismatches
 
 
-def core_depth(g: Graph, comps: ComponentReport) -> int | None:
-    """Most hops from a giant node to the core (radius <= R/2). Two giant
-    nodes then reach each other through the core, so with the core a
-    clique the giant diameter is at most 2 * core_depth + 1. ``None`` when
-    the core is empty or not inside the giant, where no bound follows."""
-    core = core_node_ids(g)
+def core_depth(comps: ComponentReport) -> int | None:
+    """Most hops from a giant node to the core (radius <= R/2), read from
+    ``comps.core_hops``. Two giant nodes then reach each other through the
+    core, so with the core a clique the giant diameter is at most 2 *
+    core_depth + 1. ``None`` when the core is empty or outside the giant."""
+    core = comps.core_hops == 0
     giant = comps.labels == comps.giant_label
-    if core.size == 0 or not giant[core].all():
+    if not core.any() or not giant[core].all():
         return None
-    return int(bfs_distances(g, core)[giant].max())
+    return int(comps.core_hops[giant].max())
 
 
 def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResult]:
@@ -255,7 +255,7 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
     result = check_underpass(g, trials, seed=seed)
     analysis = analyze_graph(g)
     diameter = analysis.components.giant_diameter
-    depth = core_depth(g, analysis.components)
+    depth = core_depth(analysis.components)
     if depth is None:
         detail = (
             f"precondition unmet: core of size {analysis.core_size} is empty or "
@@ -506,9 +506,8 @@ def run_verify(
     file raises its ``DataFormatError`` (exit 4, real line number) where
     the CLI reports it. The lines keep one order whichever process ran
     them."""
-    # imported here, before the fork, so that the child inherits them
-    # instead of importing them again on every call
-    import scipy.sparse.csgraph  # noqa: F401
+    # imported here, before the fork, so that the child inherits it
+    # instead of importing it again on every call
     import scipy.stats  # noqa: F401
 
     if seed is None:

@@ -16,6 +16,7 @@ from hrg.analysis import (
     UnderpassResult,
     analyze_graph,
     band_diagnostics,
+    bfs_distances,
     check_core_clique,
     check_underpass,
     component_report,
@@ -82,23 +83,53 @@ def oracle_labels(g):
     return np.asarray(labels)
 
 
+def core_hops(g):
+    return bfs_distances(g, core_node_ids(g))
+
+
+def labels_of(g):
+    return connected_components(g, core_hops(g))
+
+
 class TestConnectedComponents:
     def test_edgeless_graph(self):
         params = ModelParams(3, 0.75, 0.0)
         g = manual_graph(params, [1.0, 1.0, 1.0], [0.0, 1.0, 2.0], [])
-        assert connected_components(g).tolist() == [0, 1, 2]
+        assert labels_of(g).tolist() == [0, 1, 2]
 
     def test_triangle(self):
         params = ModelParams(3, 0.75, 0.0)
         g = manual_graph(params, [0.1, 0.1, 0.1], [0.0, 1.0, 2.0], [(0, 1), (1, 2), (0, 2)])
-        assert connected_components(g).tolist() == [0, 0, 0]
+        assert labels_of(g).tolist() == [0, 0, 0]
 
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
             ps = sample_fixed(ModelParams(500, 0.75, 0.0), int(rng.integers(2**63)))
             g = build_banded(ps)
-            assert np.array_equal(connected_components(g), oracle_labels(g))
+            assert np.array_equal(labels_of(g), oracle_labels(g))
+
+    def test_random_id_path_without_core(self):
+        # every node at the rim: the core is empty, and hooking alone labels
+        # a path whose ids climb and fall at random along it
+        n = 20_000
+        params = ModelParams(n, 0.75, 0.0)
+        perm = np.random.default_rng(42).permutation(n)
+        g = manual_graph(params, [params.R] * n, [0.0] * n, np.column_stack((perm[:-1], perm[1:])))
+        assert core_node_ids(g).size == 0
+        assert np.array_equal(labels_of(g), oracle_labels(g))
+
+    def test_core_split_over_two_components(self):
+        # core nodes 1 and 4 lie in two components, so the core is no clique
+        # and the nodes its BFS reaches are labelled by hooking too
+        params = ModelParams(7, 0.75, 0.0)
+        R = params.R
+        g = manual_graph(
+            params, [R, 0.1, R, R, 0.1, R, R], [0.0] * 7, [(0, 1), (1, 2), (3, 4), (4, 5)]
+        )
+        assert core_node_ids(g).tolist() == [1, 4]
+        assert not check_core_clique(g)
+        assert labels_of(g).tolist() == oracle_labels(g).tolist() == [0, 0, 0, 3, 3, 3, 6]
 
 
 class TestExactDiameter:
@@ -178,9 +209,9 @@ class TestComponentReport:
         assert report.sizes == [9, 7, 5, 4, 2]
         assert report.giant_diameter == 4
         assert report.max_component_diameter == 6
-        # one BFS per round for all components, each source set shrinking as
-        # components stop
-        assert rounds == [5, 5, 3, 2, 1]
+        # the core BFS (every node here lies in the core), then one BFS per
+        # round for all components, each source set shrinking as components stop
+        assert rounds == [27, 5, 5, 3, 2, 1]
 
     def test_grouping_against_oracles(self):
         # C in [2, 4] thins the graphs to hundreds of components each, from
@@ -452,7 +483,7 @@ class TestInnerBandHops:
     def test_all_inner_nodes_in_core(self):
         # below R ~ 34 the inner band sits inside the core, so hops are 0
         g = build_banded(sample_fixed(ModelParams(50_000, 0.75, 0.0), 31))
-        reach = inner_band_hops(g)
+        reach = inner_band_hops(g, core_hops(g))
         assert inner_band_radius(g.pointset.params) < g.pointset.params.R / 2.0
         assert reach == InnerBandReach(max_hops=0, anomalies=0)
 
@@ -466,7 +497,7 @@ class TestInnerBandHops:
         radii = [1.0, (params.R / 2.0 + bound) / 2.0]
         ps = PointSet(params, np.asarray(radii), np.array([0.0, math.pi]), MODE_POISSON, 0)
         g = Graph.from_edge_array(ps, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert inner_band_hops(g) == InnerBandReach(max_hops=0, anomalies=1)
+        assert inner_band_hops(g, core_hops(g)) == InnerBandReach(max_hops=0, anomalies=1)
 
     def test_core_empty_flagged(self):
         # no core node: both inner-band nodes, between R/2 and the band
@@ -477,7 +508,7 @@ class TestInnerBandHops:
         assert all(params.R / 2.0 < r <= bound for r in radii)
         ps = PointSet(params, np.asarray(radii), np.array([0.0, math.pi]), MODE_POISSON, 0)
         g = Graph.from_edge_array(ps, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        assert inner_band_hops(g) == InnerBandReach(max_hops=0, anomalies=2)
+        assert inner_band_hops(g, core_hops(g)) == InnerBandReach(max_hops=0, anomalies=2)
 
 
 class TestCoreDepthBound:
@@ -487,7 +518,7 @@ class TestCoreDepthBound:
         # within depth + 1 + depth hops of each other
         g = build_banded(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
         report = component_report(g)
-        depth = core_depth(g, report)
+        depth = core_depth(report)
         assert depth is not None, "test setup: a non-empty core inside the giant"
         assert check_core_clique(g)
         assert report.giant_diameter <= 2 * depth + 1
@@ -512,7 +543,7 @@ class TestAnalyzeGraph:
         assert result.components.sizes == component_report(g).sizes
         assert result.degrees.mean_degree == degree_stats(g).mean_degree
         assert result.bands.max_empty_sector_run == max_empty_sector_run(g.pointset)
-        assert result.reach == inner_band_hops(g)
+        assert result.reach == inner_band_hops(g, core_hops(g))
 
     def test_core_outside_giant(self):
         # an isolated core node next to a three-node path at the rim

@@ -1,6 +1,7 @@
 """Every exported name of the package and its modules resolves, and so does
 every function the benchmark's tracer wraps. scipy loads only inside the
-functions that call it, so ``hrg generate`` runs without it."""
+``hrg verify`` functions that call it, so ``hrg generate``, ``hrg analyze``
+and the sweep run without it."""
 
 import ast
 import importlib
@@ -53,7 +54,7 @@ def test_tracer_hooks_resolve():
 
 def test_csr_layout_stays_in_graphgen():
     # every other module reaches the adjacency through ``Graph`` (neighbors,
-    # degrees, adjacency), so the CSR layout can change in one place
+    # degrees, edge_rows), so the CSR layout can change in one place
     leaks = [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))
@@ -130,21 +131,29 @@ def run_fresh(script: str, *argv: str) -> str:
 
 
 def test_generate_runs_without_scipy(tmp_path):
+    # then ``hrg analyze`` on the generated files and a small sweep, which
+    # analyse graphs and run the underpass check
     script = """
 import contextlib, io, json, sys
 import hrg, hrg.cli, hrg.files, hrg.experiments, hrg.verify
-argv = ["generate", "--n", "2048", "--seed", "1",
-        "--out-coords", sys.argv[1], "--out-edges", sys.argv[2]]
+coords, edges, report = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = hrg.cli.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+    codes = [
+        hrg.cli.main(["generate", "--n", "2048", "--seed", "1",
+                      "--out-coords", coords, "--out-edges", edges]),
+        hrg.cli.main(["analyze", "--coords", coords, "--edges", edges, "--report", report]),
+    ]
+config = hrg.experiments.SweepConfig((128, 256), 0.75, 0.0, seeds=2, underpass_trials=100)
+codes.append(len(hrg.experiments.run_sweep(config)))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
-    out = run_fresh(script, str(tmp_path / "c.tsv"), str(tmp_path / "e.tsv"))
-    assert json.loads(out) == [0, []]
+    out = run_fresh(script, *(str(tmp_path / name) for name in ("c.tsv", "e.tsv", "r.json")))
+    assert json.loads(out) == [[0, 0, 4], []]
 
 
 def test_verify_imports_scipy_before_it_forks():
-    # a child that imported them itself would pay the import on every call
+    # a child that imported it itself would pay the import on every call; the
+    # child calls no csgraph routine (``scipy.stats`` loads csgraph anyway)
     script = """
 import json, sys
 from hrg import verify
@@ -153,7 +162,7 @@ class Stop(Exception):
     pass
 
 def probe(child, parent, name, errors=Exception):
-    print(json.dumps(sorted(m for m in ("scipy.stats", "scipy.sparse.csgraph") if m in sys.modules)))
+    print(json.dumps([m for m in ("scipy.stats",) if m in sys.modules]))
     raise Stop
 
 verify.fork_call = probe
@@ -162,4 +171,4 @@ try:
 except Stop:
     pass
 """
-    assert json.loads(run_fresh(script)) == ["scipy.sparse.csgraph", "scipy.stats"]
+    assert json.loads(run_fresh(script)) == ["scipy.stats"]
