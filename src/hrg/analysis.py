@@ -5,8 +5,8 @@ tail-exponent fit, inner-band diagnostics, sector-run statistics, and
 deterministic geometric consistency checks. All functions take an
 immutable :class:`~hrg.graphgen.Graph` or :class:`~hrg.sampling.PointSet`
 and are safe to run concurrently. One BFS from the core (radius <= R/2)
-labels the core's component and gives the core-to-inner-band hops; the
-module runs on numpy alone.
+labels its component and yields the hops to the inner band and the core's
+record; the module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -62,21 +62,23 @@ def bfs_distances(g: Graph, sources) -> np.ndarray:
     return dist
 
 
-def connected_components(g: Graph, core_hops: np.ndarray) -> np.ndarray:
+def connected_components(g: Graph, reached: np.ndarray) -> np.ndarray:
     """Component label per node: the smallest node id of its component.
 
-    ``core_hops`` is the BFS from the core (radius <= R/2), -1 where
-    unreached. A clique core lies in one component, the one reached, whose
-    nodes take its smallest id. The rest, all nodes if the core is no clique,
-    hook roots to the smallest neighbouring root, then pointer-jump until no
-    label changes, as in FastSV (Zhang, Azad & Hu, SIAM PP 2020).
+    ``reached`` masks the nodes of one whole component, or no node; they
+    take its smallest id. ``component_report`` passes the nodes the BFS
+    from a clique core reaches. The rest hook roots to the smallest
+    neighbouring root, then pointer-jump until no label changes, as in
+    FastSV (Zhang, Azad & Hu, SIAM PP 2020). A mask with an edge leaving
+    it raises ``ValueError``: the hooking never reaches its nodes.
     """
     labels = np.arange(g.n, dtype=np.int64)
-    reached = core_hops >= 0 if check_core_clique(g) else np.zeros(g.n, dtype=bool)
     labels[reached] = np.flatnonzero(reached)[:1]
     rest = np.flatnonzero(~reached)
     src = np.repeat(rest, g.degrees[rest])
     dst = g.neighbors(rest)
+    if reached[dst].any():
+        raise ValueError("reached is not a whole component")
     while src.size:
         np.minimum.at(labels, labels[src], labels[dst])  # roots hook to smaller roots only
         while not np.array_equal(jumped := labels[labels[rest]], labels[rest]):
@@ -149,7 +151,10 @@ def exact_diameter(g: Graph, component) -> int:
 @dataclass(frozen=True, eq=False)
 class ComponentReport:
     """Component structure: sizes in descending order, the giant (largest,
-    ties broken by smallest contained node id), and exact diameters."""
+    ties broken by smallest contained node id), exact diameters, and the
+    core's record. ``core_depth``, the most hops from a giant node to the
+    core, bounds the giant diameter by 2 * core_depth + 1 when the core is a
+    clique; it is ``None`` when the core is empty or outside the giant."""
 
     labels: np.ndarray
     core_hops: np.ndarray  # hops from the core (radius <= R/2), -1 where unreached
@@ -159,28 +164,41 @@ class ComponentReport:
     second_size: int
     giant_diameter: int
     max_component_diameter: int
+    core_size: int
+    core_clique: bool
+    core_in_giant: bool
+    core_depth: int | None
 
 
 def component_report(g: Graph) -> ComponentReport:
     core_hops = bfs_distances(g, core_node_ids(g))
-    labels = connected_components(g, core_hops)
+    clique = check_core_clique(g)
+    labels = connected_components(g, (core_hops >= 0) & clique)
     if g.n == 0:
-        return ComponentReport(labels, core_hops, [], -1, 0, 0, 0, 0)
+        return ComponentReport(labels, core_hops, [], -1, 0, 0, 0, 0, 0, clique, True, None)
     members = np.argsort(labels, kind="stable")
     uniq, counts = np.unique(labels[members], return_counts=True)
     multi = counts > 1
     diameters = np.zeros(uniq.size, dtype=np.int64)
     diameters[multi] = _component_diameters(g, members[np.repeat(multi, counts)], counts[multi])
     order = np.argsort(-counts, kind="stable")  # uniq ascends: ties by smallest label
+    giant_label = int(uniq[order[0]])
+    giant = labels == giant_label
+    core = core_hops == 0
+    in_giant = bool(giant[core].all())
     return ComponentReport(
         labels=labels,
         core_hops=core_hops,
         sizes=counts[order].tolist(),
-        giant_label=int(uniq[order[0]]),
+        giant_label=giant_label,
         giant_size=int(counts[order[0]]),
         second_size=int(counts[order[1]]) if counts.size > 1 else 0,
         giant_diameter=int(diameters[order[0]]),
         max_component_diameter=int(diameters.max()),
+        core_size=int(np.count_nonzero(core)),
+        core_clique=clique,
+        core_in_giant=in_giant,
+        core_depth=int(core_hops[giant].max()) if in_giant and core.any() else None,
     )
 
 
@@ -405,22 +423,15 @@ class GraphAnalysis:
     degrees: DegreeStats
     bands: BandDiagnostics
     reach: InnerBandReach
-    core_size: int
-    core_clique: bool
-    core_in_giant: bool
 
 
 def analyze_graph(g: Graph, inner_c: float = 1.0) -> GraphAnalysis:
-    """Components with exact diameters, degrees, bands, hops from the core to
-    the inner band, and whether the core (radius <= R/2) is a clique in the giant."""
+    """Components with exact diameters and the core's record, degrees, bands,
+    and hops from the core (radius <= R/2) to the inner band."""
     comps = component_report(g)
-    core = core_node_ids(g)
     return GraphAnalysis(
         components=comps,
         degrees=degree_stats(g),
         bands=band_diagnostics(g.pointset, inner_c),
         reach=inner_band_hops(g, comps.core_hops, inner_c),
-        core_size=int(core.size),
-        core_clique=check_core_clique(g),
-        core_in_giant=bool(np.all(comps.labels[core] == comps.giant_label)),
     )

@@ -162,9 +162,9 @@ def _run_cell(config: SweepConfig, n: int, seed: int) -> SweepRecord:
         result = analyze_graph(g, config.inner_c)
         for name, read in ANALYSIS_COLUMNS.items():
             setattr(record, name, float(read(result)))
-        record.core_size = result.core_size
-        record.core_clique = result.core_clique
-        record.core_in_giant = result.core_in_giant
+        record.core_size = result.components.core_size
+        record.core_clique = result.components.core_clique
+        record.core_in_giant = result.components.core_in_giant
         if config.underpass_trials > 0:
             underpass = check_underpass(g, config.underpass_trials, seed=seed)
             record.underpass_violations = underpass.violations

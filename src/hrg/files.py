@@ -310,9 +310,9 @@ def build_report(g: Graph, inner_c: float = 1.0) -> dict:
             "max_nodes_in_window": bands.max_nodes_in_window,
         },
         "checks": {
-            "core_size": result.core_size,
-            "core_clique": result.core_clique,
-            "core_in_giant": result.core_in_giant,
+            "core_size": comps.core_size,
+            "core_clique": comps.core_clique,
+            "core_in_giant": comps.core_in_giant,
         },
     }
 

@@ -96,16 +96,17 @@ def angle_gaps(phi_a, phi_b):
 
 def _cosh_distance(r_a, phi_a, r_b, phi_b):
     """cosh of the pairwise distance, grouped as
-    ``cosh(r_a - r_b) + (1 - cos dphi) * sinh(r_a) * sinh(r_b)``.
+    ``cosh(r_a - r_b) + 2 sin^2(dphi / 2) * sinh(r_a) * sinh(r_b)``.
 
     The grouping is a sum of non-negative increments, which avoids the
     catastrophic cancellation the textbook ``cosh*cosh - sinh*sinh*cos``
-    form suffers at small angles. ``abs`` keeps the expression bitwise
-    symmetric under argument swap.
+    form suffers at small angles; the versine ``2 sin^2(dphi / 2)`` keeps
+    full relative precision where ``1 - cos dphi`` would cancel. ``abs``
+    keeps the expression bitwise symmetric under argument swap.
     """
     r_a = np.asarray(r_a, dtype=float)
     phi_a = np.asarray(phi_a, dtype=float)
-    spread = 1.0 - np.cos(np.abs(phi_a - phi_b))
+    spread = 2.0 * np.sin(np.abs(phi_a - phi_b) / 2.0) ** 2
     # grouping the sinh product keeps the expression bitwise symmetric
     return np.cosh(np.abs(r_a - r_b)) + spread * (np.sinh(r_a) * np.sinh(r_b))
 
@@ -126,10 +127,11 @@ def edge_mask(r_a, phi_a, r_b, phi_b, R):
 
 def theta_exact(r, y, R):
     """Maximal relative angle at which nodes with radii r and y are still
-    adjacent, in [0, pi].
+    adjacent, in [0, pi]: the exact inverse of the edge test's versine,
+    ``2 asin(sqrt((cosh R - cosh|r - y|) / (2 sinh r sinh y)))``.
 
     Returns 0 when no angle connects the radii and pi when every angle
-    does; the arccos argument is clamped to [-1, 1] to absorb rounding at
+    does; the root's argument is clamped to [0, 1] to absorb rounding at
     those extremes. Symmetric in r and y. Zero radii are rejected (the
     expression divides by sinh of each radius).
     """
@@ -137,8 +139,8 @@ def theta_exact(r, y, R):
     y = np.asarray(y, dtype=float)
     if np.any(r == 0.0) or np.any(y == 0.0):
         raise ValueError("theta_exact is undefined at radius 0")
-    arg = (np.cosh(y) * np.cosh(r) - np.cosh(R)) / (np.sinh(y) * np.sinh(r))
-    return _ret(np.arccos(np.clip(arg, -1.0, 1.0)))
+    arg = (np.cosh(R) - np.cosh(np.abs(r - y))) / (2.0 * (np.sinh(r) * np.sinh(y)))
+    return _ret(2.0 * np.arcsin(np.sqrt(np.clip(arg, 0.0, 1.0))))
 
 
 def theta_approx(r, y, R):

@@ -8,6 +8,8 @@ oracle agreement, forced-edge and clique properties, file round-trips)
 must all hold; any failure is a defect. Statistical checks (sampler
 goodness-of-fit, Poisson moments, independence, Monte Carlo measure
 agreement) report p-values or margins and only fail below the 0.1% level.
+The core lines read ``ComponentReport``'s core record, and the lens
+measure's region is ``edge_mask`` itself.
 
 No other module of the package uses scipy, and this one imports it inside
 the functions that call it. ``run_verify`` imports ``scipy.stats`` before
@@ -25,7 +27,6 @@ import numpy as np
 
 from ._fork import fork_call
 from .analysis import (
-    ComponentReport,
     analyze_graph,
     check_core_clique,
     check_underpass,
@@ -51,7 +52,7 @@ from .sampling import (
 
 __all__ = [
     "CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK", "apsp_eccentricities",
-    "theta_upper_excess", "banded_naive_mismatches", "diameter_mismatches", "core_depth",
+    "theta_upper_excess", "banded_naive_mismatches", "diameter_mismatches",
     "radial_ks", "angle_chisquare", "fixed_vs_poisson_ks", "lens_measure",
 ]
 
@@ -237,28 +238,15 @@ def diameter_mismatches(rng, count: int) -> int:
     return mismatches
 
 
-def core_depth(comps: ComponentReport) -> int | None:
-    """Most hops from a giant node to the core (radius <= R/2), read from
-    ``comps.core_hops``. Two giant nodes then reach each other through the
-    core, so with the core a clique the giant diameter is at most 2 *
-    core_depth + 1. ``None`` when the core is empty or outside the giant."""
-    core = comps.core_hops == 0
-    giant = comps.labels == comps.giant_label
-    if not core.any() or not giant[core].all():
-        return None
-    return int(comps.core_hops[giant].max())
-
-
 def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResult]:
     ps = sample_fixed(ModelParams(n, 0.75, 0.0), seed)
     g = build_banded(ps)
     result = check_underpass(g, trials, seed=seed)
-    analysis = analyze_graph(g)
-    diameter = analysis.components.giant_diameter
-    depth = core_depth(analysis.components)
+    comps = analyze_graph(g).components
+    diameter, depth = comps.giant_diameter, comps.core_depth
     if depth is None:
         detail = (
-            f"precondition unmet: core of size {analysis.core_size} is empty or "
+            f"precondition unmet: core of size {comps.core_size} is empty or "
             "outside the giant, no bound applies"
         )
     else:
@@ -270,12 +258,12 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
             result.violations == 0 and result.tested == trials,
             f"{result.tested} triples, {result.violations} violations (n={n})",
         ),
-        _det("analysis/core-clique", analysis.core_clique, f"core size {analysis.core_size}"),
+        _det("analysis/core-clique", comps.core_clique, f"core size {comps.core_size}"),
         CheckResult(
             "analysis/core-in-giant",
             "probabilistic",
-            analysis.core_in_giant,
-            f"core size {analysis.core_size} inside giant={analysis.core_in_giant}",
+            comps.core_in_giant,
+            f"core size {comps.core_size} inside giant={comps.core_in_giant}",
             p_value=None,
         ),
         bound,
@@ -404,21 +392,16 @@ def _check_disjoint_independence(seed: int, trials: int) -> CheckResult:
 
 
 def lens_measure(seed: int, samples: int) -> tuple[MonteCarloEstimate, float, float]:
-    """Monte Carlo measure of the lens of points joined to a node at r0 =
-    R/2 (R = 30, alpha 0.75) against ``mu_lens_approx``; returns (estimate,
-    approximation, tolerance). They agree when their gap is within the
-    tolerance, 10% of the approximation plus ``LENS_SLACK * exp(-alpha r0)``."""
+    """Monte Carlo measure of the lens of points that ``edge_mask`` joins to
+    a node at r0 = R/2 (R = 30, alpha 0.75) against ``mu_lens_approx``;
+    returns (estimate, approximation, tolerance). They agree when their gap
+    is within the tolerance, 10% of the approximation plus
+    ``LENS_SLACK * exp(-alpha r0)``."""
     params = ModelParams.from_radius(30.0, 0.75)
     R = params.R
     r0 = R / 2.0
     approx = mu_lens_approx(r0, 0.0, params)
-    cosh_R = math.cosh(R)
-
-    def lens(radii, phi):
-        lhs = np.cosh(np.abs(radii - r0)) + (1.0 - np.cos(phi)) * np.sinh(radii) * math.sinh(r0)
-        return lhs <= cosh_R
-
-    mc = mu_monte_carlo(lens, params, samples, seed=seed)
+    mc = mu_monte_carlo(lambda radii, phi: edge_mask(radii, phi, r0, 0.0, R), params, samples, seed)
     tol = 0.10 * approx + LENS_SLACK * math.exp(-params.alpha * r0)
     return mc, approx, tol
 

@@ -33,7 +33,7 @@ from hrg.files import build_report
 from hrg.geometry import TWO_PI, ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
-from hrg.verify import apsp_eccentricities, core_depth, diameter_mismatches
+from hrg.verify import apsp_eccentricities, diameter_mismatches
 
 
 def manual_graph(params, radii, angles, edge_pairs):
@@ -88,7 +88,9 @@ def core_hops(g):
 
 
 def labels_of(g):
-    return connected_components(g, core_hops(g))
+    # as component_report: the core BFS's reach is one component only when
+    # the core is a clique
+    return connected_components(g, (core_hops(g) >= 0) & check_core_clique(g))
 
 
 class TestConnectedComponents:
@@ -120,8 +122,8 @@ class TestConnectedComponents:
         assert np.array_equal(labels_of(g), oracle_labels(g))
 
     def test_core_split_over_two_components(self):
-        # core nodes 1 and 4 lie in two components, so the core is no clique
-        # and the nodes its BFS reaches are labelled by hooking too
+        # core nodes 1 and 4 lie in two components, so the core is no clique,
+        # no node is passed as reached, and hooking labels every node
         params = ModelParams(7, 0.75, 0.0)
         R = params.R
         g = manual_graph(
@@ -129,7 +131,17 @@ class TestConnectedComponents:
         )
         assert core_node_ids(g).tolist() == [1, 4]
         assert not check_core_clique(g)
-        assert labels_of(g).tolist() == oracle_labels(g).tolist() == [0, 0, 0, 3, 3, 3, 6]
+        labels = connected_components(g, np.zeros(g.n, dtype=bool))
+        assert labels.tolist() == oracle_labels(g).tolist() == [0, 0, 0, 3, 3, 3, 6]
+        assert np.array_equal(component_report(g).labels, labels)
+
+    def test_reached_mask_short_of_its_component_rejected(self):
+        # a path 0-1-2-3 whose middle alone is marked would never label
+        # the marked nodes by hooking
+        params = ModelParams(4, 0.75, 0.0)
+        g = manual_graph(params, [1.0] * 4, [0.0] * 4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="not a whole component"):
+            connected_components(g, np.array([False, True, True, False]))
 
 
 class TestExactDiameter:
@@ -233,6 +245,22 @@ class TestComponentReport:
             assert report.giant_label == giant
             assert report.giant_diameter == diameters[giant]
             assert report.max_component_diameter == max(diameters.values())
+
+
+class TestCoreRecord:
+    def test_empty_graph(self):
+        ps = PointSet(ModelParams(1, 0.75, 0.0), np.zeros(0), np.zeros(0), MODE_POISSON, 0)
+        report = component_report(Graph.from_edge_array(ps, [], []))
+        assert (report.sizes, report.giant_label) == ([], -1)
+        assert report.core_size == 0 and report.core_clique is True
+        assert report.core_in_giant is True and report.core_depth is None
+
+    def test_empty_core_of_verify_graph(self):
+        # the quick suite's n = 2,000 graph at seed 9, whose core is empty
+        report = component_report(build_banded(sample_fixed(ModelParams(2_000, 0.75, 0.0), 9)))
+        assert report.core_size == 0 and report.core_clique is True
+        assert report.core_in_giant is True and report.core_depth is None
+        assert report.giant_size > 1
 
 
 def networkx_graph_pairs(nx):
@@ -518,9 +546,9 @@ class TestCoreDepthBound:
         # within depth + 1 + depth hops of each other
         g = build_banded(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
         report = component_report(g)
-        depth = core_depth(report)
+        depth = report.core_depth
         assert depth is not None, "test setup: a non-empty core inside the giant"
-        assert check_core_clique(g)
+        assert report.core_clique
         assert report.giant_diameter <= 2 * depth + 1
 
 
@@ -538,9 +566,10 @@ class TestAnalyzeGraph:
     def test_fields_match_single_analyses(self):
         g = build_banded(sample_fixed(ModelParams(10_000, 0.75, 0.0), 32))
         result = analyze_graph(g, inner_c=1.0)
-        assert result.core_size == core_node_ids(g).size > 0
-        assert result.core_clique is True and result.core_in_giant is True
-        assert result.components.sizes == component_report(g).sizes
+        comps = result.components
+        assert comps.core_size == core_node_ids(g).size > 0
+        assert comps.core_clique is True and comps.core_in_giant is True
+        assert comps.sizes == component_report(g).sizes
         assert result.degrees.mean_degree == degree_stats(g).mean_degree
         assert result.bands.max_empty_sector_run == max_empty_sector_run(g.pointset)
         assert result.reach == inner_band_hops(g, core_hops(g))
@@ -550,7 +579,21 @@ class TestAnalyzeGraph:
         params = ModelParams(4, 0.75, 0.0)
         R = params.R
         g = manual_graph(params, [0.1, R, R, R], [0.0, 2.0, 2.1, 2.2], [(1, 2), (2, 3)])
-        result = analyze_graph(g)
-        assert result.core_size == 1
-        assert result.core_clique is True
-        assert result.core_in_giant is False
+        comps = analyze_graph(g).components
+        assert comps.core_size == 1
+        assert comps.core_clique is True
+        assert comps.core_in_giant is False
+        assert comps.core_depth is None
+
+    def test_one_clique_check_per_analysis(self, monkeypatch):
+        calls = []
+        check = analysis.check_core_clique
+
+        def counted(graph):
+            calls.append(graph)
+            return check(graph)
+
+        monkeypatch.setattr(analysis, "check_core_clique", counted)
+        g = build_banded(sample_fixed(ModelParams(2_000, 0.75, 0.0), 33))
+        analyze_graph(g)
+        assert calls == [g]

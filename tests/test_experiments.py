@@ -598,7 +598,7 @@ QUICK_SEED_123 = [
     ("geometry/theta-approx-decay", "max relerr*exp(r+y-R) = 0.169 <= 1.0"),
     ("geometry/ball-measure-asymptotic", "relative gap 1.44e-08 at r=R/2, R=50.0"),
     ("graphs/theta-upper-soundness",
-     "227 band pairs, max(theta_exact - bound) = -9.967e-10"),
+     "227 band pairs, max(theta_exact - bound) = -1.000e-09"),
     ("graphs/banded-equals-naive", "4 graphs, 0 edge-set mismatches"),
     ("graphs/diameter-equals-apsp", "5 random graphs, 0 disagreements"),
     ("analysis/underpass", "10000 triples, 0 violations (n=2000)"),

@@ -137,7 +137,9 @@ class TestEdgeIndicator:
         r = rng.uniform(R / 2, R, 10_000)
         y = rng.uniform(R / 2, R, 10_000)
         theta = theta_exact(r, y, R)
-        for k in (-2, -1, 0, 1, 2):
+        # the verdict flips within about two ulps above theta_exact, so
+        # each of these angles gives both verdicts over the pairs
+        for k in (-1, 0, 1, 2):
             angle = theta + k * np.spacing(theta)
             forward = edge_mask(r, 0.0, y, angle, R)
             assert np.array_equal(forward, edge_mask(y, angle, r, 0.0, R))

@@ -119,6 +119,25 @@ class TestBandedEquivalence:
         assert np.array_equal(banded.edge_rows(), build_naive(ps).edge_rows())
         assert np.count_nonzero(banded.edge_rows()[:, 0] < 3) > 0
 
+    @pytest.mark.parametrize(
+        "n, C, bands", [(3, 38.82 - 2.0 * math.log(3), (1, 2)), (4096, 24.95, (1, 1))]
+    )
+    def test_matches_naive_at_the_inner_corner(self, n, C, bands):
+        # two nodes at the innermost radii of bands i and j, where the true
+        # threshold angle comes closest to the window, at the largest angle
+        # the edge test accepts: the window must still hold the pair
+        params = ModelParams(n, 0.75, C)
+        R = params.R
+        r, y = (np.nextafter(R - band, R) for band in bands)
+        lo, hi = 0.0, math.pi
+        while np.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if edge_mask(r, 0.0, y, mid, R) else (lo, mid)
+        ps = manual_pointset(params, [r, y], [0.0, lo], mode=MODE_POISSON)
+        assert [layer_of_radius(radius, R) for radius in (r, y)] == list(bands)
+        assert build_naive(ps).edge_rows().tolist() == [[0, 1]]
+        assert build_banded(ps).edge_rows().tolist() == [[0, 1]]
+
     @pytest.mark.parametrize("alpha", [0.55, 0.65, 0.85])
     @pytest.mark.parametrize("C", [-1.0, 2.0])
     def test_matches_naive_across_alpha(self, alpha, C):
