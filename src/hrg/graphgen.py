@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, edge_mask
+from .geometry import ARRAY_BLOCK, TWO_PI, edge_mask
 from .sampling import PointSet
 
 __all__ = [
@@ -207,13 +207,14 @@ def theta_upper(band_i: int, band_j: int, R: float) -> float:
 
 
 def build_naive(ps: PointSet) -> Graph:
-    """All-pairs reference builder, O(n^2); the correctness oracle."""
+    """All-pairs reference builder, O(n^2); the correctness oracle. It
+    tests about ``ARRAY_BLOCK`` pairs per block of rows."""
     n = len(ps)
     r, phi, R = ps.r, ps.phi, ps.params.R
     cols = np.arange(n)
     us_parts = [np.empty(0, dtype=np.int64)]
     vs_parts = [np.empty(0, dtype=np.int64)]
-    block = max(1, 8_000_000 // max(n, 1))
+    block = max(1, ARRAY_BLOCK // max(n, 1))
     for a in range(0, n - 1, block):
         b = min(a + block, n - 1)
         rows = np.arange(a, b)

@@ -1,11 +1,13 @@
 """Tests for disc geometry: distances, thresholds, densities, measures."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import mp_distance, mp_theta, mp_theta_decay
 
+from hrg import geometry
 from hrg.geometry import (
     TWO_PI,
     ModelParams,
@@ -271,3 +273,44 @@ class TestMuMonteCarlo:
         # acceptance runs the full 1e7-sample version; this is a fast guard
         est, approx, tol = lens_measure(9, 1_000_000)
         assert abs(est.value - approx) <= tol
+
+    @staticmethod
+    def whole_chunk_draws(params, samples, seed, chunk):
+        """The draw order of ``mu_monte_carlo`` with each chunk drawn as one
+        array: k angles, then k radii, from one generator."""
+        rng = np.random.default_rng(seed)
+        radii, angles = [], []
+        for done in range(0, samples, chunk):
+            k = min(chunk, samples - done)
+            angles.append(rng.uniform(0.0, TWO_PI, k))
+            radii.append(radial_icdf(rng.random(k), params))
+        return np.concatenate(radii), np.concatenate(angles)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    def test_blocks_keep_the_chunk_draws(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "MC_CHUNK", 1000)
+        if block is not None:
+            monkeypatch.setattr(geometry, "ARRAY_BLOCK", block)
+        params = ModelParams(100, 0.75, 0.0)
+        seen = []
+
+        def region(r, phi):
+            seen.append((r, phi))
+            return (r > params.R / 2.0) & (phi < 2.0)
+
+        est = mu_monte_carlo(region, params, 2500, seed=3)  # chunks 1000, 1000, 500
+        radii, angles = self.whole_chunk_draws(params, 2500, 3, 1000)
+        assert np.array_equal(np.concatenate([r for r, _ in seen]), radii)
+        assert np.array_equal(np.concatenate([phi for _, phi in seen]), angles)
+        assert est.hits == int(np.count_nonzero((radii > params.R / 2.0) & (angles < 2.0)))
+        assert 0 < est.hits < 2500
+
+    def test_lens_memory_is_bounded_by_the_block(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lens_measure(9, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 8 * 2**20

@@ -55,6 +55,27 @@ class TestBuildNaive:
                     expected.add((a, b))
         assert {tuple(e) for e in g.edge_rows().tolist()} == expected
 
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_row_blocks_keep_the_edges(self, monkeypatch, rows):
+        ps = sample_fixed(ModelParams(300, 0.75, 0.0), 4)
+        if rows is not None:
+            monkeypatch.setattr(graphgen, "ARRAY_BLOCK", rows * len(ps))
+        r, phi = ps.r, ps.phi
+        whole = np.argwhere(np.triu(edge_mask(r[:, None], phi[:, None], r, phi, ps.params.R), 1))
+        assert np.array_equal(build_naive(ps).edge_rows(), whole)
+        assert len(whole) > 300
+
+    def test_memory_is_bounded_by_the_block(self):
+        ps = sample_fixed(ModelParams(2000, 0.75, 0.0), 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_naive(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 16 * 2**20
+
 
 class TestBandedEquivalence:
     def test_matches_naive_on_fifty_graphs(self):
