@@ -10,7 +10,6 @@ otherwise; all of them are pure and safe to call from multiple threads.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -30,6 +29,7 @@ __all__ = [
     "theta_approx",
     "radial_pdf",
     "mu_ball_origin_exact",
+    "radial_icdf",
     "mu_lens_approx",
     "mu_monte_carlo",
 ]
@@ -174,6 +174,17 @@ def mu_ball_origin_exact(r, params: ModelParams):
     return _ret((np.cosh(a * r) - 1.0) / (math.cosh(a * params.R) - 1.0))
 
 
+def radial_icdf(u, params: ModelParams):
+    """Inverse radial CDF: maps uniform u in [0, 1] to a radius in [0, R].
+
+    Exact inverse of :func:`mu_ball_origin_exact`; ``ModelParams`` keeps
+    alpha * R below 700, so cosh(alpha * R) is finite.
+    """
+    a = params.alpha
+    u = np.asarray(u, dtype=float)
+    return _ret(np.arccosh(1.0 + u * (math.cosh(a * params.R) - 1.0)) / a)
+
+
 def mu_lens_approx(r, m, params: ModelParams):
     """Leading term of the measure of the lens reachable from a node at
     radius r and lying within the ball of radius R - m around the origin:
@@ -190,15 +201,12 @@ def mu_lens_approx(r, m, params: ModelParams):
     return _ret(lead * np.exp(-a * m - (r - m) / 2.0))
 
 
-# Samples per chunk of :func:`mu_monte_carlo`. It fixes only the draw order:
-# each chunk draws its angles first, then its radii.
-MC_CHUNK = 4_000_000
-
 # Elements one block of :func:`mu_monte_carlo` or of
-# :func:`hrg.graphgen.build_naive` holds at once; it bounds their memory.
-# Its float64 temporaries (128 KiB) stay within glibc's default mmap
-# threshold, so they are reused from the heap; 2^16 faulted in about
-# 22,700 fresh pages per build_naive call at n = 2000.
+# :func:`hrg.graphgen.build_naive` holds at once; it bounds their memory
+# and does not change their results. Its float64 temporaries (128 KiB)
+# stay within glibc's default mmap threshold, so they are reused from the
+# heap; 2^16 faulted in about 22,700 fresh pages per build_naive call at
+# n = 2000.
 ARRAY_BLOCK = 1 << 14
 
 
@@ -223,29 +231,19 @@ def mu_monte_carlo(
     unchanged for single points and for batches. Returns the hit fraction
     with its binomial standard error.
 
-    Each chunk of ``MC_CHUNK`` samples draws its k angles, then its k
-    radii; a copy of the generator advanced by k draws the radii, so the
-    chunk runs in blocks of ``ARRAY_BLOCK`` samples with the same draws.
+    The angles and the radii come from two generators spawned from
+    ``seed``, one per coordinate, and are drawn ``ARRAY_BLOCK`` at a time,
+    so the samples do not depend on the block size.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    from .sampling import radial_icdf  # deferred: sampling imports this module
-
-    rng = np.random.default_rng(seed)
+    angular, radial = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     hits = 0
-    done = 0
-    while done < samples:
-        k = min(MC_CHUNK, samples - done)
-        # uniform and random take one 64-bit output per value
-        radial = copy.deepcopy(rng)
-        radial.bit_generator.advance(k)
-        for a in range(0, k, ARRAY_BLOCK):
-            b = min(ARRAY_BLOCK, k - a)
-            phi = rng.uniform(0.0, TWO_PI, b)
-            radii = radial_icdf(radial.random(b), params)
-            hits += int(np.count_nonzero(region(radii, phi)))
-        rng = radial  # 2k draws past the chunk start
-        done += k
+    for a in range(0, samples, ARRAY_BLOCK):
+        b = min(ARRAY_BLOCK, samples - a)
+        phi = angular.uniform(0.0, TWO_PI, b)
+        radii = radial_icdf(radial.random(b), params)
+        hits += int(np.count_nonzero(region(radii, phi)))
     p = hits / samples
     err = math.sqrt(p * (1.0 - p) / samples)
     return MonteCarloEstimate(value=p, std_error=err, hits=hits, samples=samples)

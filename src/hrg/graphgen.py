@@ -208,21 +208,22 @@ def theta_upper(band_i: int, band_j: int, R: float) -> float:
 
 def build_naive(ps: PointSet) -> Graph:
     """All-pairs reference builder, O(n^2); the correctness oracle. It
-    tests about ``ARRAY_BLOCK`` pairs per block of rows."""
+    tests about ``ARRAY_BLOCK`` pairs per block of rows, against the
+    columns from the block's first row on."""
     n = len(ps)
     r, phi, R = ps.r, ps.phi, ps.params.R
-    cols = np.arange(n)
     us_parts = [np.empty(0, dtype=np.int64)]
     vs_parts = [np.empty(0, dtype=np.int64)]
     block = max(1, ARRAY_BLOCK // max(n, 1))
     for a in range(0, n - 1, block):
         b = min(a + block, n - 1)
         rows = np.arange(a, b)
-        mask = edge_mask(r[rows, None], phi[rows, None], r[None, :], phi[None, :], R)
+        cols = np.arange(a, n)
+        mask = edge_mask(r[rows, None], phi[rows, None], r[None, a:], phi[None, a:], R)
         mask &= cols[None, :] > rows[:, None]
         ui, vi = np.nonzero(mask)
         us_parts.append(rows[ui])
-        vs_parts.append(vi)
+        vs_parts.append(cols[vi])
     return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))
 
 

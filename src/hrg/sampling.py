@@ -11,13 +11,12 @@ agreement across implementations is not promised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import TWO_PI, ModelParams
+from .geometry import TWO_PI, ModelParams, radial_icdf
 
 MODE_FIXED = "fixed"
 MODE_POISSON = "poisson"
@@ -32,18 +31,6 @@ __all__ = [
     "poisson_counts",
     "disjointness_check",
 ]
-
-
-def radial_icdf(u, params: ModelParams):
-    """Inverse radial CDF: maps uniform u in [0, 1] to a radius in [0, R].
-
-    Exact inverse of :func:`hrg.geometry.mu_ball_origin_exact`;
-    ``ModelParams`` keeps alpha * R below 700, so cosh(alpha * R) is finite.
-    """
-    a = params.alpha
-    u = np.asarray(u, dtype=float)
-    out = np.arccosh(1.0 + u * (math.cosh(a * params.R) - 1.0)) / a
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True, eq=False)

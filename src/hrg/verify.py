@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fork import fork_call
-from .analysis import (
-    analyze_graph,
-    check_core_clique,
-    check_underpass,
-    component_report,
-    exact_diameter,
-)
+from .analysis import check_core_clique, check_underpass, component_report, exact_diameter
 from .geometry import (
     ModelParams,
     MonteCarloEstimate,
@@ -41,14 +35,13 @@ from .geometry import (
     mu_lens_approx,
     mu_monte_carlo,
     pair_distances,
+    radial_icdf,
     theta_approx,
     theta_exact,
 )
 from .files import read_coords, read_edges, write_coords, write_edges
 from .graphgen import Graph, band_count, build_banded, build_naive, theta_upper
-from .sampling import (
-    PointSet, disjointness_check, poisson_counts, radial_icdf, sample_fixed, sample_poisson
-)
+from .sampling import PointSet, disjointness_check, poisson_counts, sample_fixed, sample_poisson
 
 __all__ = [
     "CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK", "apsp_eccentricities",
@@ -242,7 +235,7 @@ def _check_underpass_and_core(n: int, trials: int, seed: int) -> list[CheckResul
     ps = sample_fixed(ModelParams(n, 0.75, 0.0), seed)
     g = build_banded(ps)
     result = check_underpass(g, trials, seed=seed)
-    comps = analyze_graph(g).components
+    comps = component_report(g)
     diameter, depth = comps.giant_diameter, comps.core_depth
     if depth is None:
         detail = (
@@ -349,9 +342,7 @@ def fixed_vs_poisson_ks(seed: int, n: int):
 
 def _two_sided_p(z: float) -> float:
     """Two-sided p-value of a standard normal statistic."""
-    from scipy import stats
-
-    return 2.0 * stats.norm.sf(abs(z))
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def _check_poisson_moments(seed: int, trials: int) -> CheckResult:

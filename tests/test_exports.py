@@ -1,7 +1,8 @@
 """Every exported name of the package and its modules resolves, and so does
 every function the benchmark's tracer wraps. scipy loads only inside the
 ``hrg verify`` functions that call it, so ``hrg generate``, ``hrg analyze``
-and the sweep run without it."""
+and the sweep run without it. ``geometry`` imports no other module of the
+package."""
 
 import ast
 import importlib
@@ -118,6 +119,26 @@ def test_scipy_imports_stay_inside_functions():
         if (lines := scipy_imports_outside_functions(path.read_text(encoding="utf-8")))
     }
     assert not eager
+
+
+def package_imports(source: str) -> list[int]:
+    """Line numbers of the statements that import a module of this package,
+    relative or by name, at module level or inside a function."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "hrg" for a in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "hrg")
+    ]
+
+
+def test_geometry_imports_no_package_module():
+    # geometry is the bottom layer: every other module may import it, so an
+    # import back into the package would be circular
+    assert package_imports("import math\ndef f():\n    from .sampling import x\n") == [3]
+    assert package_imports("import hrg.files\nfrom hrg import cli\nimport numpy\n") == [1, 2]
+    assert package_imports((PACKAGE / "geometry.py").read_text(encoding="utf-8")) == []
 
 
 def run_fresh(script: str, *argv: str) -> str:

@@ -17,11 +17,11 @@ from hrg.geometry import (
     mu_lens_approx,
     mu_monte_carlo,
     pair_distances,
+    radial_icdf,
     radial_pdf,
     theta_approx,
     theta_exact,
 )
-from hrg.sampling import radial_icdf
 from hrg.verify import lens_measure
 
 
@@ -275,20 +275,16 @@ class TestMuMonteCarlo:
         assert abs(est.value - approx) <= tol
 
     @staticmethod
-    def whole_chunk_draws(params, samples, seed, chunk):
-        """The draw order of ``mu_monte_carlo`` with each chunk drawn as one
-        array: k angles, then k radii, from one generator."""
-        rng = np.random.default_rng(seed)
-        radii, angles = [], []
-        for done in range(0, samples, chunk):
-            k = min(chunk, samples - done)
-            angles.append(rng.uniform(0.0, TWO_PI, k))
-            radii.append(radial_icdf(rng.random(k), params))
-        return np.concatenate(radii), np.concatenate(angles)
+    def whole_array_draws(params, samples, seed):
+        """The samples of ``mu_monte_carlo`` drawn as whole arrays: the
+        angles from the first generator spawned from ``seed``, the radii
+        from the second."""
+        angular, radial = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        angles = angular.uniform(0.0, TWO_PI, samples)
+        return radial_icdf(radial.random(samples), params), angles
 
     @pytest.mark.parametrize("block", [1, 7, 64, None])
-    def test_blocks_keep_the_chunk_draws(self, monkeypatch, block):
-        monkeypatch.setattr(geometry, "MC_CHUNK", 1000)
+    def test_samples_do_not_depend_on_the_block(self, monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(geometry, "ARRAY_BLOCK", block)
         params = ModelParams(100, 0.75, 0.0)
@@ -298,8 +294,8 @@ class TestMuMonteCarlo:
             seen.append((r, phi))
             return (r > params.R / 2.0) & (phi < 2.0)
 
-        est = mu_monte_carlo(region, params, 2500, seed=3)  # chunks 1000, 1000, 500
-        radii, angles = self.whole_chunk_draws(params, 2500, 3, 1000)
+        est = mu_monte_carlo(region, params, 2500, seed=3)
+        radii, angles = self.whole_array_draws(params, 2500, 3)
         assert np.array_equal(np.concatenate([r for r, _ in seen]), radii)
         assert np.array_equal(np.concatenate([phi for _, phi in seen]), angles)
         assert est.hits == int(np.count_nonzero((radii > params.R / 2.0) & (angles < 2.0)))

@@ -65,6 +65,19 @@ class TestBuildNaive:
         assert np.array_equal(build_naive(ps).edge_rows(), whole)
         assert len(whole) > 300
 
+    def test_tests_only_the_upper_triangle(self, monkeypatch):
+        ps = sample_fixed(ModelParams(300, 0.75, 0.0), 4)
+        tested = []
+
+        def counting_mask(*args):
+            mask = edge_mask(*args)
+            tested.append(mask.size)
+            return mask
+
+        monkeypatch.setattr(graphgen, "edge_mask", counting_mask)
+        build_naive(ps)
+        assert 0 < sum(tested) <= 0.6 * len(ps) ** 2
+
     def test_memory_is_bounded_by_the_block(self):
         ps = sample_fixed(ModelParams(2000, 0.75, 0.0), 1)
         tracemalloc.start()

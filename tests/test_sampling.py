@@ -16,7 +16,7 @@ from hrg.sampling import (
     sample_fixed,
     sample_poisson,
 )
-from hrg.verify import angle_chisquare, fixed_vs_poisson_ks, radial_ks
+from hrg.verify import _two_sided_p, angle_chisquare, fixed_vs_poisson_ks, radial_ks
 
 
 class TestRadialIcdf:
@@ -193,3 +193,10 @@ class TestPointSetValidation:
         ps = sample_fixed(ModelParams(10, 0.75, 0.0), 0)
         with pytest.raises(ValueError):
             ps.r[0] = 1.0
+
+
+@pytest.mark.parametrize("z", [0.0, 0.5, -1.96, 3.0, 8.0])
+def test_two_sided_p_is_the_normal_tail(z):
+    from scipy import stats
+
+    assert _two_sided_p(z) == pytest.approx(2.0 * stats.norm.sf(abs(z)), rel=1e-13, abs=0.0)
