@@ -2,7 +2,10 @@
 
 Two samplers share one per-point distribution: ``sample_fixed`` places
 exactly n points, ``sample_poisson`` first draws the count from a Poisson
-law with mean n, and ``poisson_counts`` draws only those counts.
+law with mean n. ``poisson_counts`` draws many such counts, and
+``disjointness_check`` many point sets, each from one generator of its
+own seed in array calls: trial t is the t-th count, or the t-th
+consecutive run of points.
 Reproducibility contract: identical (params, mode, seed) yields identical
 arrays within this implementation. The generator is
 numpy's PCG64, which is documented, seedable, and splittable; bit-exact
@@ -75,42 +78,42 @@ class PointSet:
         return self.r.size
 
 
-def _seeded_count(params: ModelParams, seed: int, mode: str):
-    """The seed's Generator and the point count: n, or in Poisson mode the
-    Generator's first draw."""
-    rng = np.random.default_rng(seed)
-    return rng, (int(rng.poisson(params.n)) if mode == MODE_POISSON else params.n)
-
-
-def _draw(params: ModelParams, seed: int, mode: str):
-    """Radii and angles of one seeded draw: the count, then the angles, then
-    the radii. The samplers and :func:`disjointness_check` draw here;
-    :func:`poisson_counts` stops after the count."""
-    rng, count = _seeded_count(params, seed, mode)
+def _draw_points(params: ModelParams, count: int, rng: np.random.Generator):
+    """Radii and angles of ``count`` points drawn from ``rng``: all the
+    angles, then all the radii. The samplers and :func:`disjointness_check`
+    draw their points here."""
     phi = rng.uniform(0.0, TWO_PI, count)
     phi[phi >= TWO_PI] -= TWO_PI  # guard against rounding at the high end
     radii = radial_icdf(rng.random(count), params)
     return radii, phi
 
 
+def _sample(params: ModelParams, seed: int, mode: str) -> PointSet:
+    """One seeded point set: n points, or in Poisson mode as many as the
+    generator's first draw."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.poisson(params.n)) if mode == MODE_POISSON else params.n
+    return PointSet(params, *_draw_points(params, count, rng), mode, int(seed))
+
+
 def sample_fixed(params: ModelParams, seed: int) -> PointSet:
     """Place exactly n points: angles uniform, radii via the inverse CDF."""
-    return PointSet(params, *_draw(params, seed, MODE_FIXED), MODE_FIXED, int(seed))
+    return _sample(params, seed, MODE_FIXED)
 
 
 def sample_poisson(params: ModelParams, seed: int) -> PointSet:
     """Poisson variant: the point count is Poisson with mean n, then each
     point is drawn exactly as in :func:`sample_fixed`."""
-    return PointSet(params, *_draw(params, seed, MODE_POISSON), MODE_POISSON, int(seed))
+    return _sample(params, seed, MODE_POISSON)
 
 
 def poisson_counts(params: ModelParams, trials: int, seed: int = 0) -> np.ndarray:
-    """Point counts of ``trials`` Poisson draws: entry t equals
-    ``len(sample_poisson(params, seed + t))``, but no point is drawn."""
+    """Point counts of ``trials`` Poisson draws with mean n, all from one
+    generator seeded with ``seed``: ``default_rng(seed).poisson(n, trials)``.
+    Entry 0 equals ``len(sample_poisson(params, seed))``; no point is drawn."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    counts = (_seeded_count(params, seed + t, MODE_POISSON)[1] for t in range(trials))
-    return np.fromiter(counts, dtype=np.int64, count=trials)
+    return np.random.default_rng(seed).poisson(params.n, trials).astype(np.int64, copy=False)
 
 
 def disjointness_check(
@@ -129,15 +132,20 @@ def disjointness_check(
     sampler makes counts of complementary regions anti-correlated. Regions
     are vectorized predicates as in :func:`hrg.geometry.mu_monte_carlo`.
     The caller is responsible for actual disjointness.
+
+    All trials come from one generator seeded with ``seed``: first the
+    counts (the draw of :func:`poisson_counts`, or n per trial in fixed
+    mode), then the angles and the radii of all points at once. Trial t
+    owns the t-th consecutive run of ``counts[t]`` points.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a correlation")
     if mode not in (MODE_FIXED, MODE_POISSON):
         raise ValueError(f"unknown mode {mode!r}")
-    counts_a = np.empty(trials)
-    counts_b = np.empty(trials)
-    for t in range(trials):
-        radii, phi = _draw(params, seed + t, mode)
-        counts_a[t] = np.count_nonzero(region_a(radii, phi))
-        counts_b[t] = np.count_nonzero(region_b(radii, phi))
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(params.n, trials) if mode == MODE_POISSON else np.full(trials, params.n)
+    radii, phi = _draw_points(params, int(counts.sum()), rng)
+    trial = np.repeat(np.arange(trials), counts)
+    counts_a = np.bincount(trial, weights=region_a(radii, phi), minlength=trials)
+    counts_b = np.bincount(trial, weights=region_b(radii, phi), minlength=trials)
     return float(np.corrcoef(counts_a, counts_b)[0, 1])

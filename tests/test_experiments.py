@@ -1,6 +1,7 @@
 """Tests for file formats, the CLI, the sweep harness, and verify."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -28,6 +29,7 @@ from hrg.files import (
 )
 from hrg.geometry import ModelParams, theta_exact
 from hrg.graphgen import build_banded
+from hrg import verify
 from hrg.sampling import sample_fixed, sample_poisson
 from hrg.verify import run_verify
 
@@ -610,8 +612,8 @@ QUICK_SEED_123 = [
     ("sampler/radial-ks", "D=3.58e-03 on 100000 radii"),
     ("sampler/angle-chisquare", "chi2=100.3 over 100 bins"),
     ("sampler/fixed-vs-poisson-ks", "D=1.00e-02 (50000 vs 49700 radii)"),
-    ("sampler/poisson-count-moments", "mean=99.82 var=102.6 over 2000 draws"),
-    ("sampler/disjoint-independence", "count correlation -0.0219 over 1000 trials"),
+    ("sampler/poisson-count-moments", "mean=100.25 var=96.8 over 2000 draws"),
+    ("sampler/disjoint-independence", "count correlation +0.0147 over 1000 trials"),
     ("measure/lens-monte-carlo",
      "mc=1.014e-03+-3.2e-05 approx=1.056e-03 gap=4.23e-05 tol=1.19e-04 "
      "(1000000 samples)"),
@@ -669,6 +671,38 @@ class TestVerify:
         assert code == 0
         assert [(r.name, r.detail) for r in results] == QUICK_SEED_123
         assert_no_child_left()
+
+    def test_sampler_checks_share_no_seed(self, monkeypatch):
+        # every integer seed given to ``default_rng`` goes to the check whose
+        # line is made next
+        seeds, checks = [], {}
+        real_rng = np.random.default_rng
+
+        def recording_rng(seed=None):
+            if isinstance(seed, (int, np.integer)):
+                seeds.append(int(seed))
+            return real_rng(seed)
+
+        def closing(make):
+            def line(name, *args):
+                checks[name] = set(seeds)
+                seeds.clear()
+                return make(name, *args)
+
+            return line
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        monkeypatch.setattr(verify, "_det", closing(verify._det))
+        monkeypatch.setattr(verify, "_prob", closing(verify._prob))
+        verify._child_checks(True, 1)
+        samplers = {name: used for name, used in checks.items() if name.startswith("sampler/")}
+        assert len(samplers) == 5 and all(samplers.values())
+        shared = [
+            (a, b, samplers[a] & samplers[b])
+            for a, b in itertools.combinations(samplers, 2)
+            if samplers[a] & samplers[b]
+        ]
+        assert not shared
 
     def test_line_order_with_input_files_frozen(self, tmp_path):
         # the three input-file lines sit between round-trip and radial-KS

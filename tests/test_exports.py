@@ -141,6 +141,30 @@ def test_geometry_imports_no_package_module():
     assert package_imports((PACKAGE / "geometry.py").read_text(encoding="utf-8")) == []
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def loops_in(source: str, name: str) -> list[str]:
+    """Kinds of the loops and comprehensions inside function ``name``."""
+    func = next(
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return [type(node).__name__ for node in ast.walk(func) if isinstance(node, LOOPS)]
+
+
+def test_trial_functions_have_no_python_loop():
+    # their trials come from one generator in array calls
+    assert loops_in("def f(x):\n    while x:\n        x = {y for y in x}\n", "f") == [
+        "While", "SetComp"
+    ]
+    source = (PACKAGE / "sampling.py").read_text(encoding="utf-8")
+    assert loops_in(source, "poisson_counts") == []
+    assert loops_in(source, "disjointness_check") == []
+
+
 def run_fresh(script: str, *argv: str) -> str:
     """stdout of ``script`` run in a fresh interpreter that imports this
     package's sources, so no module a test loaded is already there."""

@@ -15,6 +15,7 @@ from hrg.geometry import ModelParams, edge_mask, theta_exact
 from hrg.graphgen import (
     BandIndex,
     Graph,
+    band_count,
     build_banded,
     build_naive,
     layer_of_radius,
@@ -202,7 +203,54 @@ class TestCandidateCount:
         assert sum(tested) == layers.candidate_counts(ps)[0]
 
 
+def theta_upper_excess_oracle(rng, samples_per_pair, theta=theta_exact):
+    """``theta_upper_excess`` pair by pair: a scalar ``theta`` at the pair's
+    inner corner, then ``Generator.uniform`` draws of its r and y."""
+    worst = -math.inf
+    pairs = 0
+    for n in (2**11, 10**4, 2 * 10**5):
+        R = ModelParams(n, 0.75, 0.0).R
+        top = band_count(R)
+        for i in range(1, top + 1):
+            for j in range(i, top + 1):
+                bound = theta_upper(i, j, R)
+                if bound >= math.pi:
+                    continue
+                pairs += 1
+                lo_r, lo_y = R - i, R - j
+                edge = theta(lo_r + 1e-12, lo_y + 1e-12, R)
+                r = rng.uniform(lo_r, lo_r + 1.0, samples_per_pair)
+                y = rng.uniform(lo_y, lo_y + 1.0, samples_per_pair)
+                inside = float(np.max(theta(r, y, R)))
+                worst = max(worst, max(edge, inside) - bound)
+    return pairs, worst
+
+
 class TestThetaUpper:
+    @pytest.mark.parametrize("samples", [20, 500])
+    @pytest.mark.parametrize("seed", [1, 2, 11])
+    def test_matches_per_pair_loop(self, seed, samples, monkeypatch):
+        # the same result, the same radius pairs tested, the same draws used
+        seen = {"ours": [], "oracle": []}
+
+        def recording(key):
+            def theta(r, y, R):
+                r, y = np.broadcast_arrays(r, y)
+                seen[key].append(np.stack((r.ravel(), y.ravel())))
+                return theta_exact(r, y, R)
+
+            return theta
+
+        ours, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        monkeypatch.setattr("hrg.verify.theta_exact", recording("ours"))
+        expected = theta_upper_excess_oracle(oracle, samples, recording("oracle"))
+        assert theta_upper_excess(ours, samples) == expected
+        assert ours.random() == oracle.random()
+        tested = {key: np.hstack(parts) for key, parts in seen.items()}
+        for key, pairs in tested.items():
+            tested[key] = pairs[:, np.lexsort(pairs[::-1])]
+        assert np.array_equal(tested["ours"], tested["oracle"])
+
     def test_central_band_pairs_get_full_circle(self):
         R = 20.0
         assert theta_upper(10, 10, R) == math.pi

@@ -98,14 +98,17 @@ class TestSamplePoisson:
 
 class TestPoissonCounts:
     @pytest.mark.parametrize("n, seed", [(100, 7), (5, 0), (1, 123)])
-    def test_matches_sampler_length(self, n, seed):
-        params = ModelParams(n, 0.75, 0.0)
-        counts = poisson_counts(params, 2000, seed)
-        lengths = [len(sample_poisson(params, seed + t)) for t in range(2000)]
+    def test_one_generators_draw(self, n, seed):
+        counts = poisson_counts(ModelParams(n, 0.75, 0.0), 2000, seed)
         assert counts.dtype == np.int64
-        assert counts.tolist() == lengths
+        assert counts.tolist() == np.random.default_rng(seed).poisson(n, 2000).tolist()
         if n <= 5:
             assert (counts == 0).any()  # empty draws are counted too
+
+    @pytest.mark.parametrize("n, seed", [(100, 7), (5, 0), (1, 123), (50_000, 3)])
+    def test_first_count_is_the_sampler_length(self, n, seed):
+        params = ModelParams(n, 0.75, 0.0)
+        assert poisson_counts(params, 3, seed)[0] == len(sample_poisson(params, seed))
 
     def test_zero_trials_is_empty(self):
         counts = poisson_counts(ModelParams(100, 0.75, 0.0), 0, seed=4)
@@ -116,26 +119,28 @@ class TestPoissonCounts:
             poisson_counts(ModelParams(100, 0.75, 0.0), -1)
 
 
-def disjointness_oracle(region_a, region_b, params, trials, seed, sampler):
-    """Per-trial point sets from the public sampler, counted region by region."""
-    counts_a, counts_b = [], []
-    for t in range(trials):
-        ps = sampler(params, seed + t)
-        counts_a.append(np.count_nonzero(region_a(ps.r, ps.phi)))
-        counts_b.append(np.count_nonzero(region_b(ps.r, ps.phi)))
-    return float(np.corrcoef(np.array(counts_a, float), np.array(counts_b, float))[0, 1])
-
-
 class TestDisjointness:
-    @pytest.mark.parametrize(
-        "mode, sampler", [(MODE_POISSON, sample_poisson), (MODE_FIXED, sample_fixed)]
-    )
-    def test_matches_per_trial_sampler_oracle(self, mode, sampler):
+    @pytest.mark.parametrize("mode", [MODE_POISSON, MODE_FIXED])
+    def test_trials_are_consecutive_runs_of_one_draw(self, mode):
+        # a recording region sees every trial's points in one call; counting
+        # them run by run must give the check's correlation
         params = ModelParams(50, 0.75, 0.0)
         inner = lambda r, phi: r < params.R / 2.0  # noqa: E731
         arc = lambda r, phi: (phi >= 1.0) & (phi < 2.5)  # noqa: E731
-        corr = disjointness_check(inner, arc, params, 500, seed=31, mode=mode)
-        assert corr == disjointness_oracle(inner, arc, params, 500, 31, sampler)
+        seen = []
+
+        def recording(r, phi):
+            seen.append((r, phi))
+            return inner(r, phi)
+
+        corr = disjointness_check(recording, arc, params, 500, seed=31, mode=mode)
+        counts = poisson_counts(params, 500, 31) if mode == MODE_POISSON else np.full(500, 50)
+        [(r, phi)] = seen
+        assert r.size == phi.size == counts.sum()
+        runs = np.split(np.arange(r.size), np.cumsum(counts)[:-1])
+        counts_a = [np.count_nonzero(inner(r[run], phi[run])) for run in runs]
+        counts_b = [np.count_nonzero(arc(r[run], phi[run])) for run in runs]
+        assert corr == pytest.approx(np.corrcoef(counts_a, counts_b)[0, 1], rel=1e-12)
 
     def test_unknown_mode_rejected(self):
         region = lambda r, phi: phi < math.pi  # noqa: E731
