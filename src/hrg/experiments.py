@@ -3,13 +3,16 @@
 A sweep cell samples a point set, builds the graph with the banded
 generator, runs :func:`~hrg.analysis.analyze_graph` and, when asked, the
 underpass check. Cells are independent; with
-``jobs > 1`` they run in a process pool, and the output row order is by
-(n, seed) regardless of completion order. All fields except the ``*_ms``
-timings are deterministic functions of the config.
+``jobs > 1`` they run in a process pool of at most one worker per cell,
+and the output row order is by (n, seed) regardless of completion order.
+All fields except the ``*_ms`` timings are deterministic functions of the
+config. ``SWEEP_CRITERIA`` maps each acceptance criterion that reads a
+sweep, by its printed label, to its function of the records: (passed, detail).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -23,7 +26,8 @@ from .geometry import ModelParams
 from .graphgen import build_banded
 from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
 
-__all__ = ["SweepConfig", "SweepRecord", "run_sweep", "write_sweep_csv", "CSV_COLUMNS"]
+__all__ = ["SweepConfig", "SweepRecord", "run_sweep", "write_sweep_csv", "CSV_COLUMNS",
+           "SWEEP_CRITERIA", "medians_by_n"]
 
 # The analysis columns of a sweep row in CSV order, each with its reader of
 # the cell's GraphAnalysis. A new column is one entry here plus one
@@ -179,10 +183,12 @@ def _run_cell(config: SweepConfig, n: int, seed: int) -> SweepRecord:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Run every cell; records come back in (n, seed) order, as the cells are listed."""
     cells = [(n, seed) for n in config.n_values for seed in range(1, config.seeds + 1)]
-    if config.jobs > 1:
+    # the fork start method launches every worker on the first submit
+    workers = min(config.jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, [config] * len(cells), *zip(*cells)))
     return [_run_cell(config, n, seed) for n, seed in cells]
 
@@ -191,3 +197,91 @@ def write_sweep_csv(records: list[SweepRecord], stream: TextIO) -> None:
     stream.write(",".join(CSV_COLUMNS) + "\n")
     for record in records:
         stream.write(record.csv_row() + "\n")
+
+
+def medians_by_n(records: list[SweepRecord], field: str) -> dict[int, float]:
+    """Median of ``field`` over each n's cells, keyed by n in increasing order."""
+    import statistics  # here, so that importing this module does not load it
+
+    ns = sorted({r.n for r in records})
+    return {n: statistics.median(getattr(r, field) for r in records if r.n == n) for n in ns}
+
+
+def diameter_lower_bound(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 3: median diameter >= 0.5 ln n at every n, never falling as n grows."""
+    med = medians_by_n(records, "giant_diameter")
+    least = min(d / math.log(n) for n, d in med.items())
+    monotone = all(a <= b for a, b in itertools.pairwise(med.values()))
+    return least >= 0.5 and monotone, (
+        f"median diameters {[int(d) for d in med.values()]}, "
+        f"min diameter/ln(n) = {least:.3f} (need >= 0.5), non-decreasing={monotone}"
+    )
+
+
+def diameter_upper_bound(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 4: median diameter / (ln n)^4 grows at most 3-fold from any n
+    to a larger one; it may decay (like (ln n)^-3 under Theta(log n))."""
+    ratios = [d / math.log(n) ** 4 for n, d in medians_by_n(records, "giant_diameter").items()]
+    growth = max(b / a for a, b in itertools.combinations(ratios, 2))
+    return growth <= 3.0, (
+        f"median diameter/(ln n)^4 x1e3 {[round(r * 1e3, 2) for r in ratios]}, "
+        f"largest growth ratio(b)/ratio(a) over a < b = {growth:.2f} (need <= 3); "
+        f"two-sided max/min = {max(ratios) / min(ratios):.2f} (information only)"
+    )
+
+
+def second_component_bound(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 5: second component <= (ln n)^4 in every cell; the a.a.s.
+    sqrt(n) bound, below (ln n)^4 at desk sizes, reads the per-n median."""
+    med = medians_by_n(records, "second_size")
+    medians_ok = all(s < math.sqrt(n) for n, s in med.items())
+    worst = max(records, key=lambda r: r.second_size / math.log(r.n) ** 4)
+    worst_share = worst.second_size / math.log(worst.n) ** 4
+    over_root = sum(1 for r in records if r.second_size >= math.sqrt(r.n))
+    return worst_share <= 1.0 and medians_ok, (
+        f"median second vs sqrt(n) {[(int(s), round(math.sqrt(n), 1)) for n, s in med.items()]} "
+        f"(need median < sqrt(n)); worst cell (n={worst.n}, seed={worst.seed}, "
+        f"second={int(worst.second_size)}) uses {worst_share:.3f} of (ln n)^4 (need <= 1); "
+        f"{over_root}/{len(records)} cells have second >= sqrt(n) (information only)"
+    )
+
+
+def core_clique_and_giant(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 6: the core is a clique in every cell, inside the giant in all but one."""
+    total = len(records)
+    cliques = sum(1 for r in records if r.core_clique)
+    contained = sum(1 for r in records if r.core_in_giant)
+    return cliques == total and contained >= total - 1, (
+        f"clique {cliques}/{total}, containment {contained}/{total} (need >= {total - 1})"
+    )
+
+
+def underpass_property(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 7: no forced edge missing over at least 10^6 sampled triples."""
+    tested = sum(r.underpass_tested for r in records)
+    violations = sum(r.underpass_violations for r in records)
+    return violations == 0 and tested >= 1_000_000, (
+        f"{violations} violations over {tested} sampled triples (tolerance zero)"
+    )
+
+
+def inner_band_reach(records: list[SweepRecord]) -> tuple[bool, str]:
+    """Criterion 11: hops / ln ln n over all cells lies within a factor 3 (so
+    one 0-hop cell fails a sweep whose other cells read 1 hop)."""
+    ratios = [r.inner_band_hops / math.log(math.log(r.n)) for r in records]
+    lo, hi = min(ratios), max(ratios)
+    inside = "; inner band lies inside the core at these sizes" if hi == 0 else ""
+    return hi <= 3.0 * lo + 1e-12, (
+        f"hops/lnln(n) spans [{lo:.3f}, {hi:.3f}] across {len(ratios)} cells "
+        f"(factor-3 band){inside}"
+    )
+
+
+SWEEP_CRITERIA = {
+    "criterion-3 diameter lower-bound scaling": diameter_lower_bound,
+    "criterion-4 diameter upper-bound scaling": diameter_upper_bound,
+    "criterion-5 second component": second_component_bound,
+    "criterion-6 core clique and giant containment": core_clique_and_giant,
+    "criterion-7 underpass property": underpass_property,
+    "criterion-11 inner-band reach": inner_band_reach,
+}

@@ -3,13 +3,10 @@ properties at their stated tolerances.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see one PASS/FAIL line
 per criterion. The sweep (n = 2^11..2^17, 5 seeds each, alpha = 0.75,
-C = 0) is computed once and shared. Criteria 3 and 4 (diameter scaling)
-and the sqrt(n) rider of criterion 5 read per-n medians over the seeds;
-the other sweep checks, the (ln n)^4 bound of criterion 5 among them,
-read every cell.
+C = 0) is computed once and shared. The criteria that read it (3-7 and
+11) are ``hrg.experiments.SWEEP_CRITERIA``; each test here asserts one.
 """
 
-import itertools
 import math
 import os
 import statistics
@@ -19,7 +16,7 @@ import numpy as np
 import pytest
 from conftest import mp_theta_decay
 
-from hrg.experiments import SweepConfig, run_sweep
+from hrg.experiments import SWEEP_CRITERIA, SweepConfig, run_sweep
 from hrg.geometry import ModelParams
 from hrg.graphgen import build_banded
 from hrg.sampling import poisson_counts, sample_fixed
@@ -44,6 +41,10 @@ JOBS = min(2, os.cpu_count() or 1)
 def report(name: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
+
+
+def assert_sweep_criterion(records, label):
+    assert report(label, *SWEEP_CRITERIA[label](records))
 
 
 @pytest.fixture(scope="session")
@@ -83,13 +84,6 @@ def big_runs():
     return runs
 
 
-def medians_by_n(records, field):
-    out = {}
-    for n in SWEEP_NS:
-        out[n] = statistics.median(getattr(r, field) for r in records if r.n == n)
-    return out
-
-
 def test_criterion_1_power_law_exponent(big_runs):
     betas = sorted(r["beta_hat"] for r in big_runs)
     median_beta = statistics.median(betas)
@@ -116,78 +110,23 @@ def test_criterion_2_average_degree(big_runs):
 
 
 def test_criterion_3_lower_bound_scaling(sweep_records):
-    med = medians_by_n(sweep_records, "giant_diameter")
-    ratios = {n: med[n] / math.log(n) for n in SWEEP_NS}
-    monotone = all(
-        med[a] <= med[b] for a, b in zip(SWEEP_NS, SWEEP_NS[1:])
-    )
-    ok = min(ratios.values()) >= 0.5 and monotone
-    assert report(
-        "criterion-3 diameter lower-bound scaling",
-        ok,
-        f"median diameters {[int(med[n]) for n in SWEEP_NS]}, "
-        f"min diameter/ln(n) = {min(ratios.values()):.3f} (need >= 0.5), "
-        f"non-decreasing={monotone}",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-3 diameter lower-bound scaling")
 
 
 def test_criterion_4_upper_bound_scaling(sweep_records):
-    # O((ln n)^4) is an upper bound only: the ratio may decay (under the
-    # Theta(log n) law it falls like (ln n)^-3), but it may not grow by more
-    # than the factor 3 from any sweep size to a larger one.
-    med = medians_by_n(sweep_records, "giant_diameter")
-    ratios = {n: med[n] / math.log(n) ** 4 for n in SWEEP_NS}
-    growth = max(ratios[b] / ratios[a] for a, b in itertools.combinations(SWEEP_NS, 2))
-    spread = max(ratios.values()) / min(ratios.values())
-    assert report(
-        "criterion-4 diameter upper-bound scaling",
-        growth <= 3.0,
-        f"median diameter/(ln n)^4 x1e3 {[round(ratios[n] * 1e3, 2) for n in SWEEP_NS]}, "
-        f"largest growth ratio(b)/ratio(a) over a < b = {growth:.2f} (need <= 3); "
-        f"two-sided max/min = {spread:.2f} (information only)",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-4 diameter upper-bound scaling")
 
 
 def test_criterion_5_second_component(sweep_records):
-    # (ln n)^4 holds per cell; sqrt(n) is below it at these sizes and the
-    # theory is a.a.s., so the sqrt(n) rider applies to the per-n median.
-    med = medians_by_n(sweep_records, "second_size")
-    medians_ok = all(med[n] < math.sqrt(n) for n in SWEEP_NS)
-    worst = max(sweep_records, key=lambda r: r.second_size / math.log(r.n) ** 4)
-    worst_share = worst.second_size / math.log(worst.n) ** 4
-    over_root = sum(1 for r in sweep_records if r.second_size >= math.sqrt(r.n))
-    assert report(
-        "criterion-5 second component",
-        worst_share <= 1.0 and medians_ok,
-        f"median second vs sqrt(n) {[(int(med[n]), round(math.sqrt(n), 1)) for n in SWEEP_NS]} "
-        f"(need median < sqrt(n)); worst cell (n={worst.n}, seed={worst.seed}, "
-        f"second={int(worst.second_size)}) uses "
-        f"{worst_share:.3f} of (ln n)^4 (need <= 1); "
-        f"{over_root}/{len(sweep_records)} cells have second >= sqrt(n) (information only)",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-5 second component")
 
 
 def test_criterion_6_core_clique_and_giant(sweep_records):
-    cliques = sum(1 for r in sweep_records if r.core_clique)
-    contained = sum(1 for r in sweep_records if r.core_in_giant)
-    total = len(sweep_records)
-    ok = cliques == total and contained >= total - 1
-    assert report(
-        "criterion-6 core clique and giant containment",
-        ok,
-        f"clique {cliques}/{total}, containment {contained}/{total} (need >= {total - 1})",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-6 core clique and giant containment")
 
 
 def test_criterion_7_underpass(sweep_records):
-    tested = sum(r.underpass_tested for r in sweep_records)
-    violations = sum(r.underpass_violations for r in sweep_records)
-    ok = violations == 0 and tested >= 1_000_000
-    assert report(
-        "criterion-7 underpass property",
-        ok,
-        f"{violations} violations over {tested} sampled triples (tolerance zero)",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-7 underpass property")
 
 
 def test_criterion_8_geometry_validators():
@@ -244,12 +183,4 @@ def test_criterion_10_oracle_equivalences():
 
 
 def test_criterion_11_inner_band_reach(sweep_records):
-    ratios = [r.inner_band_hops / math.log(math.log(r.n)) for r in sweep_records]
-    lo, hi = min(ratios), max(ratios)
-    ok = hi <= 3.0 * lo + 1e-12
-    assert report(
-        "criterion-11 inner-band reach",
-        ok,
-        f"hops/lnln(n) spans [{lo:.3f}, {hi:.3f}] across {len(ratios)} cells "
-        f"(factor-3 band); inner band lies inside the core at these sizes",
-    )
+    assert_sweep_criterion(sweep_records, "criterion-11 inner-band reach")

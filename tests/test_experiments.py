@@ -3,6 +3,7 @@
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,15 @@ from hrg.cli import main
 from hrg.experiments import (
     CSV_COLUMNS,
     SweepConfig,
+    SweepRecord,
+    core_clique_and_giant,
+    diameter_lower_bound,
+    diameter_upper_bound,
+    inner_band_reach,
+    medians_by_n,
     run_sweep,
+    second_component_bound,
+    underpass_property,
     write_sweep_csv,
 )
 from hrg.files import (
@@ -588,6 +597,99 @@ class TestSweep:
         assert rows[0].split(",")[:2] == ["n", "seed"]
         assert rows[1].split(",")[0] == "128"
 
+
+    def test_pool_never_outnumbers_cells(self, monkeypatch):
+        # a stand-in that maps serially records each pool size; no process starts
+        import concurrent.futures
+        import dataclasses
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = SweepConfig(n_values=(64, 128), alpha=0.75, C=0.0, seeds=1, jobs=64)
+        assert [(r.n, r.seed) for r in run_sweep(cfg)] == [(64, 1), (128, 1)]
+        assert [r.n for r in run_sweep(dataclasses.replace(cfg, n_values=(64,)))] == [64]
+        assert len(run_sweep(dataclasses.replace(cfg, seeds=3, jobs=4))) == 6
+        assert sizes == [2, 4]
+
+
+def cells(field, values_by_n, **fixed):
+    """Records with ``field`` set to each listed value at its n, seeds 1, 2, ..."""
+    return [
+        SweepRecord(n=n, seed=seed, **{field: value}, **fixed)
+        for n, values in values_by_n.items()
+        for seed, value in enumerate(values, 1)
+    ]
+
+
+class TestSweepCriteria:
+    """Each criterion fails on records that break exactly its bound and
+    passes at the bound."""
+
+    def test_medians_by_n_reads_the_records(self):
+        records = cells("giant_diameter", {4096: [9.0, 1.0, 5.0], 2048: [2.0, 4.0]})
+        assert medians_by_n(records, "giant_diameter") == {2048: 3.0, 4096: 5.0}
+        assert list(medians_by_n(records, "giant_diameter")) == [2048, 4096]
+
+    def test_lower_bound(self):
+        half = {n: [0.5 * math.log(n)] * 3 for n in (2048, 4096)}
+        assert diameter_lower_bound(cells("giant_diameter", half))[0]
+        below = {2048: [0.49 * math.log(2048)], 4096: [10.0]}
+        assert not diameter_lower_bound(cells("giant_diameter", below))[0]
+        ok, detail = diameter_lower_bound(cells("giant_diameter", {2048: [12.0], 4096: [11.0]}))
+        assert not ok and "non-decreasing=False" in detail
+
+    def test_upper_bound_growth_of_three(self):
+        y = {n: math.log(n) ** 4 for n in (2048, 4096)}
+        for factor, passed in [(3.0, True), (3.01, False)]:
+            records = cells("giant_diameter", {2048: [y[2048]], 4096: [factor * y[4096]]})
+            assert diameter_upper_bound(records)[0] is passed, factor
+
+    def test_second_component(self):
+        assert second_component_bound(cells("second_size", {4096: [63.0] * 3}))[0]
+        assert not second_component_bound(cells("second_size", {4096: [64.0] * 3}))[0]
+        ceiling = math.log(2048) ** 4
+        assert second_component_bound(cells("second_size", {2048: [1.0, 1.0, ceiling]}))[0]
+        ok, detail = second_component_bound(cells("second_size", {2048: [1.0, 1.0, ceiling + 1]}))
+        assert not ok and "worst cell (n=2048, seed=3" in detail
+
+    def test_core_containment_allows_one_miss(self):
+        records = cells("core_in_giant", {2048: [True] * 4 + [False]})
+        assert core_clique_and_giant(records) == (
+            True, "clique 5/5, containment 4/5 (need >= 4)"
+        )
+        records[0].core_in_giant = False
+        assert not core_clique_and_giant(records)[0]
+        assert not core_clique_and_giant(cells("core_clique", {2048: [True, False]}))[0]
+
+    def test_underpass(self):
+        tested = {2048: [500_000, 500_000]}
+        assert underpass_property(cells("underpass_tested", tested))[0]
+        assert not underpass_property(cells("underpass_tested", {2048: [500_000, 499_999]}))[0]
+        records = cells("underpass_tested", tested)
+        records[1].underpass_violations = 1
+        assert not underpass_property(records)[0]
+
+    def test_inner_band_reach_band(self):
+        assert inner_band_reach(cells("inner_band_hops", {2048: [0.0] * 3}))[0]
+        assert inner_band_reach(cells("inner_band_hops", {2048: [1.0, 3.0]}))[0]
+        assert not inner_band_reach(cells("inner_band_hops", {2048: [1.0, 4.0]}))[0]
+        # one 0-hop cell pins the band's floor at 0
+        ok, detail = inner_band_reach(cells("inner_band_hops", {2**20: [0.0], 2**22: [1.0]}))
+        assert not ok and "inside the core" not in detail
 
 # Every line of run_verify(quick=True, seed=123), in order: the draws, and
 # so these strings, must not change when a check's body moves, is shared or

@@ -177,10 +177,12 @@ def run_fresh(script: str, *argv: str) -> str:
 
 def test_generate_runs_without_scipy(tmp_path):
     # then ``hrg analyze`` on the generated files and a small sweep, which
-    # analyse graphs and run the underpass check
+    # analyse graphs and run the underpass check; importing the modules
+    # loads no ``statistics`` either, which only the sweep criteria use
     script = """
 import contextlib, io, json, sys
 import hrg, hrg.cli, hrg.files, hrg.experiments, hrg.verify
+assert "statistics" not in sys.modules
 coords, edges, report = sys.argv[1:]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [
