@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, ModelParams, angle_gaps
-from .graphgen import Graph, arc_ranges
+from .graphgen import Graph, angle_order, arc_ranges
 from .sampling import PointSet
 
 __all__ = [
@@ -349,7 +349,7 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     if g.m == 0 or g.n < 3:
         return UnderpassResult(0, 0, 0)
     n, phi, r = g.n, g.pointset.phi, g.pointset.r
-    order = np.argsort(phi, kind="stable")
+    order = angle_order(phi)
     doubled = np.concatenate((phi[order], phi[order] + TWO_PI))
     rows = g.edge_rows()
     keys = rows[:, 0] * n + rows[:, 1]  # sorted, as the rows are canonical

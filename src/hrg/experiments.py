@@ -92,8 +92,9 @@ class SweepConfig:
             raise ValueError("underpass_trials must be >= 0")
         if not math.isfinite(_real("inner_c", self.inner_c)):
             raise ValueError(f"inner_c must be finite, got {self.inner_c!r}")
-        # validates 0 < alpha < 1 and n >= 1 the same way a cell would; R grows
-        # with n, so R >= 0 binds at the smallest n and alpha * R < 700 at the largest
+        # validates 0 < alpha < 1 and n >= 1 the same way a cell would; R grows with
+        # n, so R >= 0 binds at the smallest n, R <= MAX_RADIUS and alpha * R < 700
+        # at the largest
         for n in (values[0], values[-1]):
             inner_band_radius(ModelParams(n, _real("alpha", self.alpha), _real("C", self.C)))
         object.__setattr__(self, "n_values", values)
@@ -207,8 +208,22 @@ def medians_by_n(records: list[SweepRecord], field: str) -> dict[int, float]:
     return {n: statistics.median(getattr(r, field) for r in records if r.n == n) for n in ns}
 
 
+def _unjudgeable(records: list[SweepRecord], least_n: int, sizes: int = 1) -> str:
+    """Why a criterion cannot judge ``records``: fewer than ``sizes`` distinct
+    n values, or an n below ``least_n``, where the ln n or ln ln n it divides
+    by is undefined or not positive. Empty when it can."""
+    ns = sorted({r.n for r in records})
+    if len(ns) < sizes:
+        return f"cannot judge: needs cells at {sizes} or more n values, got {len(ns)}"
+    if ns[0] < least_n:
+        return f"cannot judge: needs every n >= {least_n}, got n = {ns[0]}"
+    return ""
+
+
 def diameter_lower_bound(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 3: median diameter >= 0.5 ln n at every n, never falling as n grows."""
+    if reason := _unjudgeable(records, 2):
+        return False, reason
     med = medians_by_n(records, "giant_diameter")
     least = min(d / math.log(n) for n, d in med.items())
     monotone = all(a <= b for a, b in itertools.pairwise(med.values()))
@@ -221,6 +236,8 @@ def diameter_lower_bound(records: list[SweepRecord]) -> tuple[bool, str]:
 def diameter_upper_bound(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 4: median diameter / (ln n)^4 grows at most 3-fold from any n
     to a larger one; it may decay (like (ln n)^-3 under Theta(log n))."""
+    if reason := _unjudgeable(records, 2, sizes=2):
+        return False, reason
     ratios = [d / math.log(n) ** 4 for n, d in medians_by_n(records, "giant_diameter").items()]
     growth = max(b / a for a, b in itertools.combinations(ratios, 2))
     return growth <= 3.0, (
@@ -233,6 +250,8 @@ def diameter_upper_bound(records: list[SweepRecord]) -> tuple[bool, str]:
 def second_component_bound(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 5: second component <= (ln n)^4 in every cell; the a.a.s.
     sqrt(n) bound, below (ln n)^4 at desk sizes, reads the per-n median."""
+    if reason := _unjudgeable(records, 2):
+        return False, reason
     med = medians_by_n(records, "second_size")
     medians_ok = all(s < math.sqrt(n) for n, s in med.items())
     worst = max(records, key=lambda r: r.second_size / math.log(r.n) ** 4)
@@ -268,6 +287,8 @@ def underpass_property(records: list[SweepRecord]) -> tuple[bool, str]:
 def inner_band_reach(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 11: hops / ln ln n over all cells lies within a factor 3 (so
     one 0-hop cell fails a sweep whose other cells read 1 hop)."""
+    if reason := _unjudgeable(records, 3):
+        return False, reason
     ratios = [r.inner_band_hops / math.log(math.log(r.n)) for r in records]
     lo, hi = min(ratios), max(ratios)
     inside = "; inner band lies inside the core at these sizes" if hi == 0 else ""

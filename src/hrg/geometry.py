@@ -18,8 +18,14 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Largest disc radius ModelParams accepts. The edge test scales
+# sinh(r) * sinh(y) by a versine of up to 2, and 2 sinh(R)^2 overflows a
+# double from R = 355.24 on; past that, an inf or NaN distance decides edges.
+MAX_RADIUS = 355.0
+
 __all__ = [
     "TWO_PI",
+    "MAX_RADIUS",
     "ModelParams",
     "MonteCarloEstimate",
     "angle_gaps",
@@ -43,8 +49,9 @@ class ModelParams:
 
     Degree power laws with exponent between 2 and 3 correspond to
     ``1/2 < alpha < 1``, but any finite positive alpha is accepted.
-    ``ValueError`` rejects a non-finite alpha or C, R < 0,
-    and alpha * R >= 700, where cosh(alpha * R) overflows a double.
+    ``ValueError`` rejects a non-finite alpha or C, R < 0, R above
+    ``MAX_RADIUS``, where the edge test's sinh products overflow a double,
+    and alpha * R >= 700, where cosh(alpha * R) overflows.
     """
 
     n: int
@@ -58,8 +65,13 @@ class ModelParams:
         if not (0.0 < self.alpha < math.inf and math.isfinite(self.C)):
             raise ValueError(f"need finite alpha > 0 and finite C, got {self.alpha}, {self.C}")
         radius = 2.0 * math.log(self.n) + self.C
-        if not 0.0 <= self.alpha * radius < 700.0:
-            raise ValueError(f"need 0 <= alpha * R < 700, got R = 2 ln n + C = {radius}")
+        if not 0.0 <= radius <= MAX_RADIUS:
+            raise ValueError(
+                f"need 0 <= R <= {MAX_RADIUS} (beyond it sinh(r) * sinh(y) in the edge test "
+                f"overflows a double), got R = 2 ln n + C = {radius}"
+            )
+        if not self.alpha * radius < 700.0:
+            raise ValueError(f"need alpha * R < 700, got R = 2 ln n + C = {radius}")
         object.__setattr__(self, "R", radius)
 
     @property
@@ -202,7 +214,8 @@ def mu_lens_approx(r, m, params: ModelParams):
 
 
 # Elements one block of :func:`mu_monte_carlo` or of
-# :func:`hrg.graphgen.build_naive` holds at once; it bounds their memory
+# :func:`hrg.graphgen.build_naive` holds at once, and the queries of one
+# block of :func:`hrg.graphgen.build_banded`; it bounds their memory
 # and does not change their results. Its float64 temporaries (128 KiB)
 # stay within glibc's default mmap threshold, so they are reused from the
 # heap; 2^16 faulted in about 22,700 fresh pages per build_naive call at

@@ -2,20 +2,22 @@
 
 ``build_naive`` tests every pair and serves as the ground-truth oracle.
 ``build_banded`` partitions the disc into unit-thickness annuli (bands),
-sorts each band by angle, and for every band pair tests only the
-candidates inside a certified angular window, which keeps the expected
-candidate count near-linear for 1/2 < alpha < 1. Each node of the inner
-band of a pair looks up its window in the outer band, as bands shrink
-geometrically toward the centre in expectation, and the exact test reads
-band-local coordinate arrays. Central band pairs get a window of
-half-width pi, which is the whole band. Both builders evaluate the
-identical connection expression, so their edge sets agree exactly,
+lays the nodes out by band and then by angle, and makes one pass per band:
+every node of that band or of a band inside it looks up its candidates in
+the band within a certified angular window, which keeps the expected
+candidate count near-linear for 1/2 < alpha < 1. Querying from the inner
+bands pays off because bands shrink geometrically toward the centre in
+expectation. The queries run in blocks of ``ARRAY_BLOCK``, and the exact
+test reads the contiguous coordinate arrays. Central band pairs get a
+window of half-width pi, which is the whole band. Both builders evaluate
+the identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
 
 ``Graph.from_edge_array`` orders the CSR with one sort. The CSR is the only
 stored adjacency: ``Graph.edge_rows`` derives the canonical edge rows from
 it. Only this module reads the CSR, other modules call ``Graph.neighbors``.
-The array helpers ``concatenated_ranges`` and ``arc_ranges`` live here too.
+The array helpers ``concatenated_ranges``, ``arc_ranges`` and ``angle_order``
+live here too.
 The module runs on numpy alone.
 """
 
@@ -81,6 +83,19 @@ def arc_ranges(doubled: np.ndarray, lo_val, hi_val) -> tuple[np.ndarray, np.ndar
     lo = np.searchsorted(doubled, lo_val + shift, side="left")
     hi = np.searchsorted(doubled, hi_val + shift, side="right")
     return lo, np.minimum(hi, lo + doubled.size // 2)
+
+
+def angle_order(phi: np.ndarray) -> np.ndarray:
+    """``np.argsort(phi, kind="stable")``, from the default sort.
+
+    Distinct angles have one sorted order, which any sort finds; the stable
+    sort, several times slower on floats, runs only when two angles are equal.
+    """
+    order = np.argsort(phi)
+    ranked = phi[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        return np.argsort(phi, kind="stable")
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,18 +193,14 @@ class BandIndex:
 
     @classmethod
     def build(cls, ps: PointSet) -> "BandIndex":
-        R = ps.params.R
-        nbands = band_count(R)
-        band_of = layer_of_radius(ps.r, R)
-        ids: list = []
-        angles: list = []
-        for i in range(1, nbands + 1):
-            members = np.nonzero(band_of == i)[0]
-            order = np.argsort(ps.phi[members], kind="stable")
-            members = members[order]
-            ids.append(members)
-            angles.append(ps.phi[members])
-        return cls(count=nbands, ids=ids, angles=angles)
+        """Sort by angle once, then split by band with a stable sort of the
+        int16 band labels, which keeps each band in angle order."""
+        nbands = band_count(ps.params.R)
+        order = angle_order(ps.phi)
+        labels = layer_of_radius(ps.r, ps.params.R).astype(np.int16)[order]
+        ids = order[np.argsort(labels, kind="stable")]
+        cuts = np.cumsum(np.bincount(labels, minlength=nbands + 1)[1:-1])
+        return cls(count=nbands, ids=np.split(ids, cuts), angles=np.split(ps.phi[ids], cuts))
 
 
 def theta_upper(band_i: int, band_j: int, R: float) -> float:
@@ -227,45 +238,56 @@ def build_naive(ps: PointSet) -> Graph:
     return Graph.from_edge_array(ps, np.concatenate(us_parts), np.concatenate(vs_parts))
 
 
+def _band_passes(ps: PointSet) -> tuple[list, list]:
+    """Edge end parts of :func:`build_banded`, one pass per band. The laid-out
+    arrays and the last block die on return, before the CSR build's peak."""
+    R = ps.params.R
+    bands = BandIndex.build(ps)
+    count, sizes = bands.count, [ids.size for ids in bands.ids]
+    ids, phi = np.concatenate(bands.ids), np.concatenate(bands.angles)
+    del bands  # the per-band views would keep a second copy alive
+    r = ps.r[ids]
+    band = np.repeat(np.arange(1, count + 1, dtype=np.int16), sizes)
+    starts = np.cumsum([0, *sizes]).tolist()
+    us_parts = [np.empty(0, dtype=np.int64)]
+    vs_parts = [np.empty(0, dtype=np.int64)]
+    for i in range(1, count + 1):
+        first, end = starts[i - 1], starts[i]
+        if first == end:
+            continue
+        doubled = np.concatenate((phi[first:end], phi[first:end] + TWO_PI))
+        widths = np.array([theta_upper(i, j, R) for j in range(i, count + 1)])
+        for q in range(first, ids.size, ARRAY_BLOCK):
+            stop = min(q + ARRAY_BLOCK, ids.size)
+            width = widths[band[q:stop] - i]
+            lo, hi = arc_ranges(doubled, phi[q:stop] - width, phi[q:stop] + width)
+            # candidate pairs as positions: a the query, b in band i
+            a = np.repeat(np.arange(q, stop), hi - lo)
+            b = concatenated_ranges(lo, hi - lo) % (end - first) + first
+            if q < end:  # a pair inside band i is tested once, from its lower position
+                keep = (a < b) | (a >= end)
+                a, b = a[keep], b[keep]
+            hit = edge_mask(r[a], phi[a], r[b], phi[b], R)
+            us_parts.append(ids[a[hit]])
+            vs_parts.append(ids[b[hit]])
+    return us_parts, vs_parts
+
+
 def build_banded(ps: PointSet) -> Graph:
     """Band/window builder; produces exactly the edge set of
     :func:`build_naive`.
 
-    For every band pair (i <= j, band j the inner one) each node of band j
-    looks up the nodes of band i within an angular window of half-width
-    :func:`theta_upper`; a window of half-width pi is the whole band. Only
-    those candidates are tested exactly, on band-local radius and angle
-    arrays, and node ids are looked up for the edges alone. The window
-    overestimates the true threshold, so no edge is lost; the exact test
-    discards the rest.
+    The nodes are laid out by band and then by angle, so band i and the
+    bands j > i inside it form one suffix. One pass per band i walks that
+    suffix in blocks of ``ARRAY_BLOCK`` queries: each node of band j looks
+    up the nodes of band i within an angular window of half-width
+    :func:`theta_upper` (i, j), read from a per-pass table by j; a window
+    of half-width pi is the whole band. Only those candidates are tested
+    exactly, a pair inside band i once, and node ids are looked up for the
+    edges alone. The window overestimates the true threshold, so no edge
+    is lost; the exact test discards the rest.
     """
-    R = ps.params.R
-    bands = BandIndex.build(ps)
-    radii = [ps.r[ids] for ids in bands.ids]
-    doubled = [np.concatenate((angles, angles + TWO_PI)) for angles in bands.angles]
-    us_parts = [np.empty(0, dtype=np.int64)]
-    vs_parts = [np.empty(0, dtype=np.int64)]
-    for i in range(1, bands.count + 1):
-        ids_i, r_i, phi_i = bands.ids[i - 1], radii[i - 1], bands.angles[i - 1]
-        if ids_i.size == 0:
-            continue
-        for j in range(i, bands.count + 1):
-            ids_j, r_j, phi_j = bands.ids[j - 1], radii[j - 1], bands.angles[j - 1]
-            if ids_j.size == 0:
-                continue
-            width = theta_upper(i, j, R)
-            lo, hi = arc_ranges(doubled[i - 1], phi_j - width, phi_j + width)
-            # candidate pairs as band ranks: a in band j, b in band i
-            a = np.repeat(np.arange(ids_j.size), hi - lo)
-            b = concatenated_ranges(lo, hi - lo) % ids_i.size
-            if i == j:
-                keep = a < b
-                a, b = a[keep], b[keep]
-            hit = edge_mask(r_j[a], phi_j[a], r_i[b], phi_i[b], R)
-            us_parts.append(ids_j[a[hit]])
-            vs_parts.append(ids_i[b[hit]])
-    # free the band arrays and the parts before the CSR build's peak
-    del bands, radii, doubled
+    us_parts, vs_parts = _band_passes(ps)
     us = np.concatenate(us_parts)
     del us_parts
     vs = np.concatenate(vs_parts)

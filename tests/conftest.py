@@ -11,7 +11,8 @@ import math
 import numpy as np
 from mpmath import mp
 
-from hrg.geometry import theta_approx
+from hrg.geometry import TWO_PI, ModelParams, theta_approx
+from hrg.sampling import MODE_FIXED, PointSet, sample_fixed
 
 mp.dps = 60
 
@@ -51,3 +52,11 @@ def mp_theta_decay(R):
             rel = abs(theta_approx(r, y, R) - exact) / exact
             worst = max(worst, float(rel) * math.exp(s))
     return worst
+
+
+def tied_pointset() -> PointSet:
+    """A sample of 500 nodes with its angles rounded down to a grid of 64
+    steps: many nodes share an angle, inside one band and across bands."""
+    ps = sample_fixed(ModelParams(500, 0.75, 0.0), 3)
+    phi = np.floor(ps.phi * (64 / TWO_PI)) * (TWO_PI / 64)
+    return PointSet(ps.params, ps.r, phi, MODE_FIXED, 3)

@@ -9,6 +9,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import tied_pointset
 
 from hrg import analysis
 from hrg.analysis import (
@@ -466,6 +467,17 @@ class TestUnderpass:
         result = check_underpass(g, 10, seed=3)
         assert result.tested == 0 and result.violations == 0
         assert result.attempts == 100 * 10 + 1000
+
+    @pytest.mark.parametrize(
+        "trials, seed, expected",
+        [(5000, 7, UnderpassResult(0, 5000, 26435)), (20_000, 1, UnderpassResult(0, 20_000, 106_817))],
+    )
+    def test_tied_angles_keep_the_recorded_results(self, trials, seed, expected):
+        # the sampled nodes read the angle order, ties broken by node id;
+        # results recorded with np.argsort(phi, kind="stable")
+        g = build_banded(tied_pointset())
+        assert g.m == 2404
+        assert check_underpass(g, trials, seed=seed) == expected
 
     def test_deterministic_per_seed(self):
         g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 29))

@@ -228,8 +228,10 @@ class TestGenerate:
             ["--c-param", "nan"],
             ["--alpha", "inf"],
             ["--alpha", "1000"],
+            ["--c-param", "700"],
         ],
-        ids=["negative-seed", "negative-radius", "nan-c", "infinite-alpha", "alpha-r-overflow"],
+        ids=["negative-seed", "negative-radius", "nan-c", "infinite-alpha", "alpha-r-overflow",
+             "edge-test-overflow"],
     )
     def test_bad_model_input_is_usage_error(self, tmp_path, capsys, flags):
         coords = tmp_path / "c.tsv"
@@ -346,6 +348,14 @@ class TestAnalyze:
         assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
         err = capsys.readouterr().err
         assert "line 1" in err and "alpha" in err
+
+    def test_radius_past_the_edge_test_is_data_error(self, tmp_path, capsys):
+        coords, edges = write_fixture(tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
+        # the header's C is refused before its R is compared
+        coords.write_text(coords.read_text().replace("C=0.0", "C=700.0", 1))
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        err = capsys.readouterr().err
+        assert "line 1" in err and "overflows" in err
 
     def test_alpha_at_least_one_is_usage_error(self, tmp_path, capsys):
         coords, edges = write_fixture(tmp_path, ModelParams(3, 1.5, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
@@ -552,9 +562,16 @@ class TestSweep:
             {"out_csv": 1},
             {"out_csv": "x.csv"},
             {"n_values": [10, 1000], "alpha": 0.99, "C": 695.0},
+            {"n_values": [10, 1000], "alpha": 0.75, "C": 345.0},
         ]:
             config = self.make_config(tmp_path, **overrides)
             assert run_cli(["sweep", "--config", str(config)]) == 2, overrides
+
+    def test_radius_past_the_edge_test_rejected_at_the_largest_n(self):
+        # R = 2 ln n + C is 349.6 at n = 10 and 358.8 at n = 1000
+        SweepConfig(n_values=(10,), alpha=0.75, C=345.0, seeds=1)
+        with pytest.raises(ValueError, match="overflows"):
+            SweepConfig(n_values=(10, 1000), alpha=0.75, C=345.0, seeds=1)
 
     def test_removed_toggle_keys_rejected(self, tmp_path):
         for key in ("run_diameter", "run_degrees", "run_sectors", "run_inner_hops"):
@@ -690,6 +707,29 @@ class TestSweepCriteria:
         # one 0-hop cell pins the band's floor at 0
         ok, detail = inner_band_reach(cells("inner_band_hops", {2**20: [0.0], 2**22: [1.0]}))
         assert not ok and "inside the core" not in detail
+
+    @pytest.mark.parametrize(
+        "criterion, field, values, reason",
+        [
+            (diameter_lower_bound, "giant_diameter", {}, "got 0"),
+            (diameter_lower_bound, "giant_diameter", {1: [0.0], 2048: [9.0]}, "n >= 2, got n = 1"),
+            (diameter_upper_bound, "giant_diameter", {}, "got 0"),
+            (diameter_upper_bound, "giant_diameter", {2048: [9.0, 10.0]}, "2 or more n values, got 1"),
+            (diameter_upper_bound, "giant_diameter", {1: [0.0], 2048: [9.0]}, "n >= 2, got n = 1"),
+            (second_component_bound, "second_size", {}, "got 0"),
+            (second_component_bound, "second_size", {1: [0.0]}, "n >= 2, got n = 1"),
+            (inner_band_reach, "inner_band_hops", {}, "got 0"),
+            (inner_band_reach, "inner_band_hops", {1: [0.0], 4096: [1.0]}, "n >= 3, got n = 1"),
+            # ln ln 2 < 0 made this pass: hops/lnln(n) spans [-2.728, 0.472]
+            (inner_band_reach, "inner_band_hops", {2: [1.0], 4096: [1.0]}, "n >= 3, got n = 2"),
+        ],
+        ids=["3-empty", "3-n1", "4-empty", "4-one-n", "4-n1", "5-empty", "5-n1", "11-empty",
+             "11-n1", "11-n2"],
+    )
+    def test_unjudgeable_records_fail_with_the_reason(self, criterion, field, values, reason):
+        ok, detail = criterion(cells(field, values))
+        assert not ok
+        assert detail.startswith("cannot judge: ") and detail.endswith(reason)
 
 # Every line of run_verify(quick=True, seed=123), in order: the draws, and
 # so these strings, must not change when a check's body moves, is shared or

@@ -9,6 +9,7 @@ from conftest import mp_distance, mp_theta, mp_theta_decay
 
 from hrg import geometry
 from hrg.geometry import (
+    MAX_RADIUS,
     TWO_PI,
     ModelParams,
     angle_gaps,
@@ -51,6 +52,18 @@ class TestModelParams:
             with pytest.raises(ValueError):
                 ModelParams(10, alpha, c)
         assert ModelParams(1, 0.75, 0.0).R == 0.0
+
+    @pytest.mark.parametrize("radius", [355.5, 360.0, 712.0, 900.0])
+    def test_rejects_radii_where_the_edge_test_overflows(self, radius):
+        # below alpha * R = 700 at alpha = 0.75, but 2 sinh(R)^2 overflows
+        # from R = 355.24 on, and the builders then disagree on the edges
+        with pytest.raises(ValueError, match="overflows"):
+            ModelParams(200, 0.75, radius - 2.0 * math.log(200))
+
+    def test_largest_radius_keeps_the_edge_test_finite(self):
+        params = ModelParams(200, 0.75, MAX_RADIUS - 2.0 * math.log(200))
+        assert params.R == pytest.approx(MAX_RADIUS, abs=1e-9)
+        assert math.isfinite(2.0 * math.sinh(math.nextafter(params.R, math.inf)) ** 2)
 
     def test_degree_exponent(self):
         assert ModelParams(10, 0.75, 0.0).degree_exponent == 2.5

@@ -4,17 +4,19 @@ import importlib.util
 import math
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import mp_distance
+from conftest import mp_distance, tied_pointset
 
 from hrg import graphgen
-from hrg.geometry import ModelParams, edge_mask, theta_exact
+from hrg.geometry import MAX_RADIUS, ModelParams, edge_mask, theta_exact
 from hrg.graphgen import (
     BandIndex,
     Graph,
+    angle_order,
     band_count,
     build_banded,
     build_naive,
@@ -173,10 +175,85 @@ class TestBandedEquivalence:
         assert build_naive(ps).edge_rows().tolist() == [[0, 1]]
         assert build_banded(ps).edge_rows().tolist() == [[0, 1]]
 
+    def test_matches_naive_at_the_largest_radius(self):
+        # coincident and nearly coincident rim nodes, one node near the
+        # centre and one at R/2: no sinh product overflows at MAX_RADIUS
+        params = ModelParams(6, 0.75, MAX_RADIUS - 2.0 * math.log(6))
+        R = params.R
+        radii = [R, R, R, R, 0.5, R / 2]
+        angles = [0.0, 0.0, 1e-80, 1e-70, 0.5, 2.0]
+        ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            naive, banded = build_naive(ps).edge_rows(), build_banded(ps).edge_rows()
+        expected = [[0, 1], [0, 2], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4], [4, 5]]
+        assert naive.tolist() == expected
+        assert np.array_equal(banded, naive)
+        assert band_count(R) <= np.iinfo(np.int16).max  # BandIndex's band labels
+
     @pytest.mark.parametrize("alpha", [0.55, 0.65, 0.85])
     @pytest.mark.parametrize("C", [-1.0, 2.0])
     def test_matches_naive_across_alpha(self, alpha, C):
         ps = sample_fixed(ModelParams(2000, alpha, C), 32)
+        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+
+
+class TestAngleOrder:
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            [],
+            [1.5],
+            [0.0, 0.0],
+            [3.0, 1.0, 3.0, 0.5, 1.0, 3.0, 0.0, 0.5],
+            np.repeat(np.random.default_rng(1).random(40), 5),
+            np.random.default_rng(2).integers(0, 4, 1000) * 0.25,
+            np.random.default_rng(3).random(1000),
+        ],
+        ids=["n0", "n1", "pair", "hand", "runs", "grid", "distinct"],
+    )
+    def test_equals_stable_argsort(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        order = angle_order(phi)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(phi, kind="stable"))
+
+
+def stable_band_ids(ps):
+    """Per-band node ids by a stable argsort of each band's angles."""
+    band_of = layer_of_radius(ps.r, ps.params.R)
+    ids = []
+    for i in range(1, band_count(ps.params.R) + 1):
+        members = np.nonzero(band_of == i)[0]
+        ids.append(members[np.argsort(ps.phi[members], kind="stable")])
+    return ids
+
+
+class TestBandIndexOrder:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_fixed(ModelParams(3000, 0.75, 0.0), 5),
+            lambda: sample_poisson(ModelParams(3000, 0.6, 1.0), 6),
+            tied_pointset,
+        ],
+        ids=["fixed", "poisson", "tied"],
+    )
+    def test_matches_per_band_stable_argsort(self, make):
+        ps = make()
+        bands = BandIndex.build(ps)
+        reference = stable_band_ids(ps)
+        assert bands.count == len(reference)
+        for ids, angles, want in zip(bands.ids, bands.angles, reference):
+            assert np.array_equal(ids, want)
+            assert np.array_equal(angles, ps.phi[want])
+
+    def test_tied_angles_keep_the_naive_edges(self):
+        ps = tied_pointset()
+        band_of = layer_of_radius(ps.r, ps.params.R)
+        outer = ps.phi[band_of == 1]
+        assert np.unique(outer).size < outer.size  # ties inside one band
+        assert np.intersect1d(outer, ps.phi[band_of == 2]).size > 0  # and across bands
         assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
 
 
@@ -363,6 +440,33 @@ class TestCsrBuild:
             tracemalloc.stop()
         assert retained - before <= g.indices.nbytes + g.indptr.nbytes + 4096
         assert peak - before <= 2.5 * half_edges
+
+
+class TestBandPassMemory:
+    def test_band_passes_peak_below_the_csr_build(self, monkeypatch):
+        # the queries run in blocks, so the band passes hold less than the
+        # CSR build that follows them; one pass over the whole suffix held
+        # about twice as much (a block is a quarter of the nodes at 2^16)
+        ps = sample_fixed(ModelParams(2**19, 0.75, 0.0), 1)
+        build_csr = Graph.from_edge_array
+        peaks = []
+
+        def recording_build(ps, us, vs):
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            tracemalloc.reset_peak()
+            g = build_csr(ps, us, vs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return g
+
+        monkeypatch.setattr(Graph, "from_edge_array", recording_build)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_banded(ps)
+        finally:
+            tracemalloc.stop()
+        passes, csr = peaks
+        assert 0 < passes <= csr
 
 
 class TestEdgeRows:
