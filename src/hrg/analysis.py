@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, ModelParams, angle_gaps
+from .geometry import TWO_PI, ModelParams
 from .graphgen import Graph, angle_order, arc_ranges
 from .sampling import PointSet
 
@@ -278,11 +278,9 @@ def max_empty_sector_run(ps: PointSet, c: float = 1.0) -> int:
     if inner_phi.size == 0:
         return n
     occupied = np.unique(_sector_of(inner_phi, n))
-    if occupied.size == 1:
-        return n - 1
     gaps = np.diff(occupied) - 1
     wrap = occupied[0] + n - occupied[-1] - 1
-    return int(max(gaps.max(), wrap))
+    return int(max(gaps.max(initial=0), wrap))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,10 +322,6 @@ class UnderpassResult:
     attempts: int
 
 
-# Rounding slack of the betweenness test gap(u,v) + gap(v,w) = gap(u,w).
-BETWEEN_TOL = 1e-9
-
-
 def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     """Sample edge/between-node triples and verify the forced edges.
 
@@ -340,11 +334,13 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
 
     Triples are drawn in blocks: each round samples one edge per missing
     triple, picks one node uniformly from the nodes on the edge's minor arc
-    (endpoints included), and rejects a zero-width arc, a pick of u or w,
-    and a pick that fails the betweenness test. A round never draws more
-    edges than triples are missing, so ``tested`` stops at ``trials``
-    exactly; the rounds stop early once ``100 * trials + 1000`` edges have
-    been drawn. ``attempts`` counts the edges drawn.
+    (endpoints included), and rejects a zero-width arc and a pick of u or w.
+    The lookup of the closed arc in the sorted angles alone decides which
+    nodes lie between u and w; its range holds at least the node at the
+    arc's start, so it is never empty. A round never draws more edges than
+    triples are missing, so ``tested`` stops at ``trials`` exactly; the
+    rounds stop early once ``100 * trials + 1000`` edges have been drawn.
+    ``attempts`` counts the edges drawn.
     """
     if g.m == 0 or g.n < 3:
         return UnderpassResult(0, 0, 0)
@@ -370,11 +366,8 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
         arc_lo = np.where(minor, phi[u], phi[w])
         width = np.where(minor, fwd, TWO_PI - fwd)
         lo, hi = arc_ranges(doubled, arc_lo, arc_lo + width)
-        v = order[rng.integers(lo, np.maximum(hi, lo + 1)) % n]
-        keep = (width > 0.0) & (hi > lo) & (v != u) & (v != w)
-        pu, pv, pw = phi[u], phi[v], phi[w]
-        excess = angle_gaps(pu, pv) + angle_gaps(pv, pw) - angle_gaps(pu, pw)
-        keep &= np.abs(excess) <= BETWEEN_TOL
+        v = order[rng.integers(lo, hi) % n]
+        keep = (width > 0.0) & (v != u) & (v != w)
         u, v, w = u[keep], v[keep], w[keep]
         bad = ((r[v] <= r[w]) & ~adjacent(v, u)) | ((r[v] <= r[u]) & ~adjacent(v, w))
         tested += int(u.size)

@@ -238,7 +238,10 @@ def diameter_upper_bound(records: list[SweepRecord]) -> tuple[bool, str]:
     to a larger one; it may decay (like (ln n)^-3 under Theta(log n))."""
     if reason := _unjudgeable(records, 2, sizes=2):
         return False, reason
-    ratios = [d / math.log(n) ** 4 for n, d in medians_by_n(records, "giant_diameter").items()]
+    med = medians_by_n(records, "giant_diameter")
+    if zero := [n for n, d in med.items() if d == 0]:
+        return False, f"cannot judge: needs median diameters above 0, got 0 at n = {zero}"
+    ratios = [d / math.log(n) ** 4 for n, d in med.items()]
     growth = max(b / a for a, b in itertools.combinations(ratios, 2))
     return growth <= 3.0, (
         f"median diameter/(ln n)^4 x1e3 {[round(r * 1e3, 2) for r in ratios]}, "

@@ -1,6 +1,6 @@
 """Hyperbolic disc geometry in native polar coordinates.
 
-Distances, connection thresholds, the radial sampling density, and area
+Distances, connection thresholds, the inverse radial CDF, and area
 measures for the threshold graph model on a disc of radius R. A point is
 (r, phi) with r the true hyperbolic distance to the disc origin and phi an
 angle in [0, 2*pi). There is no point object: functions take the coordinates
@@ -28,12 +28,10 @@ __all__ = [
     "MAX_RADIUS",
     "ModelParams",
     "MonteCarloEstimate",
-    "angle_gaps",
     "pair_distances",
     "edge_mask",
     "theta_exact",
     "theta_approx",
-    "radial_pdf",
     "mu_ball_origin_exact",
     "radial_icdf",
     "mu_lens_approx",
@@ -90,21 +88,16 @@ class ModelParams:
         return 2.0 * a * a * math.exp(-self.C / 2.0) / (math.pi * (a - 0.5) ** 2)
 
     @classmethod
-    def from_radius(cls, radius: float, alpha: float, C: float = 0.0) -> "ModelParams":
-        """Params whose disc radius is as close to ``radius`` as an integer
-        node count allows. Useful for measure-level studies where only R
-        and alpha matter."""
-        n = max(1, round(math.exp((radius - C) / 2.0)))
-        return cls(n=n, alpha=alpha, C=C)
+    def from_radius(cls, radius: float, alpha: float) -> "ModelParams":
+        """Params with C = 0 whose disc radius is as close to ``radius`` as an
+        integer node count allows. Useful for measure-level studies where
+        only R and alpha matter."""
+        n = max(1, round(math.exp(radius / 2.0)))
+        return cls(n=n, alpha=alpha, C=0.0)
 
 
 def _ret(x: np.ndarray) -> float | np.ndarray:
     return float(x) if np.ndim(x) == 0 else x
-
-
-def angle_gaps(phi_a, phi_b):
-    """Small relative angle between directions, elementwise, in [0, pi]."""
-    return _ret(np.arccos(np.cos(np.asarray(phi_a, dtype=float) - phi_b)))
 
 
 def _cosh_distance(r_a, phi_a, r_b, phi_b):
@@ -167,16 +160,6 @@ def theta_approx(r, y, R):
     if np.any(y < R - r):
         raise ValueError("theta_approx requires y >= R - r")
     return _ret(2.0 * np.exp((R - r - y) / 2.0))
-
-
-def radial_pdf(r, params: ModelParams):
-    """Density of the radial coordinate, ``alpha sinh(alpha r) / (cosh(alpha R) - 1)``
-    on [0, R] and zero outside."""
-    a = params.alpha
-    r = np.asarray(r, dtype=float)
-    inside = (r >= 0.0) & (r <= params.R)
-    val = a * np.sinh(a * np.where(inside, r, 0.0)) / (math.cosh(a * params.R) - 1.0)
-    return _ret(np.where(inside, val, 0.0))
 
 
 def mu_ball_origin_exact(r, params: ModelParams):

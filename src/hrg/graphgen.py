@@ -63,12 +63,9 @@ def concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     neighbor lists of ``Graph.neighbors`` and the builder's candidate windows.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     # entry t of range k is t + (starts[k] - first output index of range k)
     shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(counts) - counts)
-    return np.arange(total, dtype=np.int64) + np.repeat(shift, counts)
+    return np.arange(counts.sum(), dtype=np.int64) + np.repeat(shift, counts)
 
 
 def arc_ranges(doubled: np.ndarray, lo_val, hi_val) -> tuple[np.ndarray, np.ndarray]:

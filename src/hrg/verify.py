@@ -465,7 +465,7 @@ def _parent_checks(
         f"gap={gap:.2e} tol={tol:.2e} ({samples} samples)"
     )
     ok = gap <= tol
-    lens = CheckResult("measure/lens-monte-carlo", "probabilistic", ok, detail, p_value=float(ok))
+    lens = CheckResult("measure/lens-monte-carlo", "probabilistic", ok, detail)
     return results, files, lens
 
 

@@ -461,6 +461,14 @@ class TestUnderpass:
         assert result.tested == 100
         assert result.violations == (100 if violations else 0)
 
+    def test_missing_forced_edge_at_near_coincident_angle(self):
+        # v lies 1e-8 rad inside the arc of the only edge {u, w}, a gap that
+        # arccos(cos x) rounds to 0, and has neither forced edge
+        params = ModelParams(3, 0.75, 0.0)
+        g = manual_graph(params, [2.0, 1.5, 2.0], [1.0, 1.0 + 1e-8, 1.3], [(0, 2)])
+        result = check_underpass(g, 100, seed=2)
+        assert result.violations == result.tested == 100
+
     def test_not_between_control(self):
         # node 2 lies outside the minor arc of the only edge {0, 1}
         g = manual_graph(ModelParams(3, 0.75, 0.0), [1.0] * 3, self.ANGLES, [(0, 1)])

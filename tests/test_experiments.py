@@ -716,6 +716,9 @@ class TestSweepCriteria:
             (diameter_upper_bound, "giant_diameter", {}, "got 0"),
             (diameter_upper_bound, "giant_diameter", {2048: [9.0, 10.0]}, "2 or more n values, got 1"),
             (diameter_upper_bound, "giant_diameter", {1: [0.0], 2048: [9.0]}, "n >= 2, got n = 1"),
+            # each growth ratio divides by the smaller n's median diameter
+            (diameter_upper_bound, "giant_diameter", {4: [0.0], 8: [1.0]}, "got 0 at n = [4]"),
+            (diameter_upper_bound, "giant_diameter", {4: [0.0], 8: [0.0]}, "got 0 at n = [4, 8]"),
             (second_component_bound, "second_size", {}, "got 0"),
             (second_component_bound, "second_size", {1: [0.0]}, "n >= 2, got n = 1"),
             (inner_band_reach, "inner_band_hops", {}, "got 0"),
@@ -723,8 +726,8 @@ class TestSweepCriteria:
             # ln ln 2 < 0 made this pass: hops/lnln(n) spans [-2.728, 0.472]
             (inner_band_reach, "inner_band_hops", {2: [1.0], 4096: [1.0]}, "n >= 3, got n = 2"),
         ],
-        ids=["3-empty", "3-n1", "4-empty", "4-one-n", "4-n1", "5-empty", "5-n1", "11-empty",
-             "11-n1", "11-n2"],
+        ids=["3-empty", "3-n1", "4-empty", "4-one-n", "4-n1", "4-zero-then-one", "4-all-zero",
+             "5-empty", "5-n1", "11-empty", "11-n1", "11-n2"],
     )
     def test_unjudgeable_records_fail_with_the_reason(self, criterion, field, values, reason):
         ok, detail = criterion(cells(field, values))
@@ -807,6 +810,8 @@ class TestVerify:
         assert code == 0, out
         assert elapsed < 60.0
         assert "checks passed" in out
+        # the lens line has no p-value to print
+        assert next(s for s in out.splitlines() if "lens-monte-carlo" in s).endswith("samples)")
 
     def test_sampler_count_details_frozen(self):
         results, code = run_verify(quick=True, seed=123)

@@ -1,4 +1,4 @@
-"""Tests for disc geometry: distances, thresholds, densities, measures."""
+"""Tests for disc geometry: distances, thresholds, measures."""
 
 import math
 import tracemalloc
@@ -12,14 +12,12 @@ from hrg.geometry import (
     MAX_RADIUS,
     TWO_PI,
     ModelParams,
-    angle_gaps,
     edge_mask,
     mu_ball_origin_exact,
     mu_lens_approx,
     mu_monte_carlo,
     pair_distances,
     radial_icdf,
-    radial_pdf,
     theta_approx,
     theta_exact,
 )
@@ -72,17 +70,6 @@ class TestModelParams:
     def test_from_radius(self):
         params = ModelParams.from_radius(30.0, 0.75)
         assert abs(params.R - 30.0) < 1e-5
-
-
-class TestDeltaPhi:
-    def test_identical_angle(self):
-        assert angle_gaps(0.0, 0.0) == 0.0
-
-    def test_wraparound(self):
-        assert angle_gaps(0.1, TWO_PI - 0.1) == pytest.approx(0.2, abs=1e-12)
-
-    def test_antipodal(self):
-        assert angle_gaps(0.0, math.pi) == pytest.approx(math.pi)
 
 
 class TestHyperbolicDistance:
@@ -211,26 +198,6 @@ class TestThetaApprox:
         # relative error times exp(r + y - R) stays below a fixed constant
         # over the whole validity range; measured maxima sit near 5/6
         assert 0.0 < mp_theta_decay(ModelParams.from_radius(30.0, 0.75).R) <= 1.0
-
-
-class TestRadialPdf:
-    def test_zero_at_origin_and_outside(self):
-        params = ModelParams(100, 0.75, 0.0)
-        assert radial_pdf(0.0, params) == 0.0
-        assert radial_pdf(-1.0, params) == 0.0
-        assert radial_pdf(params.R + 1.0, params) == 0.0
-
-    def test_integrates_to_one(self):
-        from scipy.integrate import quad
-
-        params = ModelParams(100, 0.75, 0.0)
-        total, _ = quad(lambda x: radial_pdf(x, params), 0.0, params.R)
-        assert abs(total - 1.0) <= 1e-9
-
-    def test_asymptotic_shape_at_boundary(self):
-        params = ModelParams(100, 0.75, 0.0)
-        # alpha * e^{alpha (r - R)} at r = R is alpha
-        assert radial_pdf(params.R, params) == pytest.approx(params.alpha, rel=0.01)
 
 
 class TestMuBallOrigin:

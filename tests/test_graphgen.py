@@ -20,6 +20,7 @@ from hrg.graphgen import (
     band_count,
     build_banded,
     build_naive,
+    concatenated_ranges,
     layer_of_radius,
     theta_upper,
 )
@@ -217,6 +218,21 @@ class TestAngleOrder:
         order = angle_order(phi)
         assert order.dtype == np.int64
         assert np.array_equal(order, np.argsort(phi, kind="stable"))
+
+
+class TestConcatenatedRanges:
+    @pytest.mark.parametrize(
+        "size, most", [(0, 5), (6, 0), (1, 7), (50, 1), (200, 12)],
+        ids=["empty", "all-zero", "one", "short", "long"],
+    )
+    def test_equals_arange_loop(self, size, most):
+        rng = np.random.default_rng(size + most)
+        starts = rng.integers(-100, 100, size)
+        counts = rng.integers(0, most + 1, size)
+        got = concatenated_ranges(starts, counts)
+        parts = [np.arange(a, a + k, dtype=np.int64) for a, k in zip(starts, counts)]
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.concatenate(parts or [np.empty(0, np.int64)]))
 
 
 def stable_band_ids(ps):
