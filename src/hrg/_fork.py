@@ -37,7 +37,7 @@ def fork_call(child, parent, name: str, errors=Exception):
             except errors as exc:
                 payload = (False, exc)
             with os.fdopen(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(payload))
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
             exit_code = 0
         finally:
             os._exit(exit_code)

@@ -10,6 +10,11 @@ parent builds the graph and writes the edge file, so it needs POSIX
 ``os.fork``. On exit 3 either file may be incomplete, and a failed
 coordinate write no longer keeps the edge file from being written.
 
+``analyze`` forks one child too, which reads the coordinate file while
+the parent parses the edge file; only the points come back. Its errors
+keep the order of a serial read: the coordinate file's (opened before
+the fork), then ``alpha >= 1`` (exit 2), then the edge file's.
+
 ``verify`` also forks one child, for the checks that take only the seed
 (underpass and core, file round-trip, the sampler tests), while the
 parent runs the checks that share one generator, in draw order, and the
@@ -21,6 +26,7 @@ in one order whichever process ran them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -107,23 +113,43 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from ._fork import fork_call
     from .analysis import inner_band_radius
-    from .files import build_report, dump_report, read_coords, read_edges
+    from .files import (
+        DataFormatError, build_report, check_edges, dump_report, parse_edges, read_coords
+    )
     from .graphgen import Graph
 
     if not math.isfinite(args.inner_c):
         print(f"hrg analyze: --inner-c must be finite, got {args.inner_c!r}", file=sys.stderr)
         return EXIT_USAGE
-    with open(args.coords, "r", encoding="utf-8") as fh:
-        ps = read_coords(fh)
-    try:
-        inner_band_radius(ps.params)
-    except ValueError as exc:
-        print(f"hrg analyze: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    with open(args.edges, "r", encoding="utf-8") as fh:
-        # the file's rows are dropped once the graph is built
-        g = Graph.from_edge_array(ps, *read_edges(fh, len(ps)).T)
+    # The edge file's error is held back until the coordinate file's and
+    # the model's have been raised, the order of a serial read.
+    with contextlib.ExitStack() as opened:
+        coords_fh = opened.enter_context(open(args.coords, "r", encoding="utf-8"))
+
+        def parse_edge_file():
+            try:
+                fh = opened.enter_context(open(args.edges, "r", encoding="utf-8"))
+                return parse_edges(fh), None
+            except (DataFormatError, OSError) as exc:
+                return None, exc
+
+        (parsed, edge_error), ps = fork_call(
+            lambda: read_coords(coords_fh), parse_edge_file, "coordinate reader",
+            errors=(DataFormatError, OSError),
+        )
+        try:
+            inner_band_radius(ps.params)
+        except ValueError as exc:
+            print(f"hrg analyze: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if edge_error is not None:
+            raise edge_error
+        rows = check_edges(parsed, len(ps))
+    del parsed  # the parsed columns go before the graph is built
+    g = Graph.from_edge_array(ps, *rows.T)
+    del rows
     report = build_report(g, inner_c=args.inner_c)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -31,6 +31,8 @@ __all__ = [
     "read_coords",
     "write_edges",
     "read_edges",
+    "parse_edges",
+    "check_edges",
     "build_report",
     "dump_report",
 ]
@@ -144,8 +146,22 @@ def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
     the error names the first offending line. Rows come back in file order
     as (min id, max id).
     """
+    return check_edges(parse_edges(stream), point_count)
+
+
+def parse_edges(stream: TextIO) -> tuple:
+    """The first step of :func:`read_edges`: the edge file's rows,
+    unchecked, so that they can be read before the point count is known.
+    Pass the result to :func:`check_edges` while ``stream`` is still open:
+    it reads the stream again for line numbers."""
     with _decoded(stream):
-        (a, b), refusal, line_of = _load_rows(stream, _EDGE_ROWS)
+        return _load_rows(stream, _EDGE_ROWS)
+
+
+def check_edges(parsed: tuple, point_count: int) -> np.ndarray:
+    """The second step of :func:`read_edges`: its rules, on the rows of
+    :func:`parse_edges`."""
+    (a, b), refusal, line_of = parsed
     a_missing, b_missing = ((ids < 0) | (ids >= point_count) for ids in (a, b))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     loop = lo == hi

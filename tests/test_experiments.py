@@ -397,6 +397,86 @@ class TestAnalyze:
         assert np.array_equal(ps.phi, ps_back.phi)
         assert np.array_equal(build_banded(ps_back).edge_rows(), g.edge_rows())
 
+    # Error order through the fork: a coordinate file's error comes first,
+    # then the model's, then the edge file's, as in a serial read.
+    BAD_ROW = "inconsistent data: line 5: point 3 (nan, 3.0) not in [0, R] x [0, 2pi)"
+    ALPHA = "inner band needs alpha < 1, got alpha=1.5"
+    MISSING = "I/O error: [Errno 2] No such file or directory: '{}'"
+
+    @pytest.mark.parametrize(
+        "coords_kind, edges_kind, code, first_line",
+        [
+            ("missing", "missing", 3, MISSING.format("{coords}")),
+            ("good", "missing", 3, MISSING.format("{edges}")),
+            ("good", "self-loop", 4, "inconsistent data: line 6: self-loop at id 3"),
+            ("bad-row", "missing", 4, BAD_ROW),
+            ("bad-row", "bad", 4, BAD_ROW),
+            ("alpha", "missing", 2, ALPHA),
+            ("alpha", "self-loop", 2, ALPHA),
+        ],
+        ids=["missing-missing", "good-missing", "good-self-loop", "bad-row-missing",
+             "bad-row-bad", "alpha-missing", "alpha-self-loop"],
+    )
+    def test_error_order(self, tmp_path, capsys, coords_kind, edges_kind, code, first_line):
+        alpha = 1.5 if coords_kind == "alpha" else 0.75
+        coords, edges = write_fixture(
+            tmp_path, ModelParams(5, alpha, 0.0), [0.1] * 5, [0.0, 1.0, 2.0, 3.0, 4.0],
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (3, 3)],
+        )
+        if coords_kind == "missing":
+            coords.unlink()
+        elif coords_kind == "bad-row":
+            lines = coords.read_text().splitlines(keepends=True)
+            lines[4] = lines[4].replace("0.10000000000000001", "nan")
+            coords.write_text("".join(lines))
+        if edges_kind == "missing":
+            edges.unlink()
+        elif edges_kind == "bad":
+            edges.write_text("0\tx\n")
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "hrg analyze: " + first_line.format(coords=coords, edges=edges)
+        assert_no_child_left()
+
+    def test_poisson_pair_exits_zero(self, tmp_path, capsys):
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges, n=300, seed=4) + ["--poisson"]) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.splitlines()[0] == "{"
+        assert json.loads(out)["model"]["mode"] == "poisson"
+        assert_no_child_left()
+
+    def test_io_error_in_the_child_is_io_error(self, tmp_path, capsys, monkeypatch):
+        # the forked child inherits the patched reader
+        def unreadable(stream):
+            raise OSError("coordinate disk gone")
+
+        monkeypatch.setattr("hrg.files.read_coords", unreadable)
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges)) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 3
+        assert capsys.readouterr().err == "hrg analyze: I/O error: coordinate disk gone\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("poisson", [False, True], ids=["fixed", "poisson"])
+    def test_stdout_report_equals_report_file(self, tmp_path, poisson):
+        # the stdout of a fresh interpreter holds one JSON document, so the
+        # forked child wrote nothing to it
+        coords, edges, report = tmp_path / "c.tsv", tmp_path / "e.tsv", tmp_path / "r.json"
+        argv = generate_argv(coords, edges, n=2000, seed=2) + (["--poisson"] if poisson else [])
+        assert run_cli(argv) == 0
+        analyze = ["analyze", "--coords", str(coords), "--edges", str(edges)]
+        assert run_cli(analyze + ["--report", str(report)]) == 0
+        src = os.path.dirname(os.path.dirname(sys.modules["hrg"].__file__))
+        proc = subprocess.run([sys.executable, "-m", "hrg.cli", *analyze], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == report.read_bytes()
+        assert json.loads(proc.stdout)["model"]["mode"] == ("poisson" if poisson else "fixed")
+
 
 class TestUndecodableInput:
     """One byte that is not UTF-8 exits 4 naming its line. The files span
@@ -789,6 +869,14 @@ class TestForkCall:
 
         with pytest.raises(ChildProcessError, match="^probe exited with code 1$"):
             fork_call(child, lambda: None, "probe", OSError)
+        assert_no_child_left()
+
+    def test_point_set_comes_back_read_only(self):
+        ps = sample_poisson(ModelParams(500, 0.75, 0.0), 3)
+        _, back = fork_call(lambda: ps, lambda: None, "probe")
+        assert not back.r.flags.writeable and not back.phi.flags.writeable
+        assert np.array_equal(back.r, ps.r) and np.array_equal(back.phi, ps.phi)
+        assert (back.params, back.mode, back.seed) == (ps.params, ps.mode, ps.seed)
         assert_no_child_left()
 
     def test_data_format_error_keeps_its_line(self):
