@@ -17,10 +17,13 @@ the fork), then ``alpha >= 1`` (exit 2), then the edge file's.
 
 ``verify`` also forks one child, for the checks that take only the seed
 (underpass and core, file round-trip, the sampler tests), while the
-parent runs the checks that share one generator, in draw order, and the
-lens measure. The ``--coords``/``--edges`` checks stay in the parent, so
-that a bad input file exits 4 with its real line number. The lines print
-in one order whichever process ran them.
+parent runs the checks that share one generator, in draw order, the lens
+measure and the ``--coords``/``--edges`` checks. The lines print in one
+order whichever process ran them.
+
+A forked child's exception comes out of the parent as itself, and
+``main`` alone maps ``UsageError``, ``OSError`` and ``DataFormatError``
+to exit codes 2, 3 and 4; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ EXIT_CHECKS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
+
+
+class UsageError(Exception):
+    """A flag or an input model the command cannot run with (exit 2). It
+    carries only its message, so that it pickles across a fork."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,15 +87,14 @@ def _cmd_generate(args) -> int:
     from .files import write_coords, write_edges
     from .geometry import ModelParams
     from .graphgen import build_banded
-    from .sampling import MODE_FIXED, MODE_POISSON, sample_fixed, sample_poisson
+    from .sampling import sample_fixed, sample_poisson
 
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     try:
-        if args.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {args.seed}")
         params = ModelParams(args.n, args.alpha, args.c_param)
     except ValueError as exc:
-        print(f"hrg generate: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from exc
     sampler = sample_poisson if args.poisson else sample_fixed
     ps = sampler(params, args.seed)
     # The coordinate file depends only on the sample: one forked child writes
@@ -104,48 +111,36 @@ def _cmd_generate(args) -> int:
                 write_edges(fh, g)
             return g
 
-        g, _ = fork_call(
-            write_coordinate_file, build_and_write_edges, "coordinate writer", OSError
-        )
-    mode = MODE_POISSON if args.poisson else MODE_FIXED
-    print(f"wrote {len(ps)} points and {g.m} edges (mode={mode}, R={params.R:.6g})")
+        g, _ = fork_call(write_coordinate_file, build_and_write_edges, "coordinate writer")
+    print(f"wrote {len(ps)} points and {g.m} edges (mode={ps.mode}, R={params.R:.6g})")
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
     from ._fork import fork_call
     from .analysis import inner_band_radius
-    from .files import (
-        DataFormatError, build_report, check_edges, dump_report, parse_edges, read_coords
-    )
+    from .files import build_report, check_edges, dump_report, parse_edges, read_coords
     from .graphgen import Graph
 
     if not math.isfinite(args.inner_c):
-        print(f"hrg analyze: --inner-c must be finite, got {args.inner_c!r}", file=sys.stderr)
-        return EXIT_USAGE
-    # The edge file's error is held back until the coordinate file's and
-    # the model's have been raised, the order of a serial read.
+        raise UsageError(f"--inner-c must be finite, got {args.inner_c!r}")
+    # The child's error is raised ahead of the edge file's: the coordinate
+    # file's, then the model's, then the edge file's, as in a serial read.
     with contextlib.ExitStack() as opened:
         coords_fh = opened.enter_context(open(args.coords, "r", encoding="utf-8"))
 
-        def parse_edge_file():
+        def read_points():
+            ps = read_coords(coords_fh)
             try:
-                fh = opened.enter_context(open(args.edges, "r", encoding="utf-8"))
-                return parse_edges(fh), None
-            except (DataFormatError, OSError) as exc:
-                return None, exc
+                inner_band_radius(ps.params)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+            return ps
 
-        (parsed, edge_error), ps = fork_call(
-            lambda: read_coords(coords_fh), parse_edge_file, "coordinate reader",
-            errors=(DataFormatError, OSError),
-        )
-        try:
-            inner_band_radius(ps.params)
-        except ValueError as exc:
-            print(f"hrg analyze: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if edge_error is not None:
-            raise edge_error
+        def parse_edge_file():
+            return parse_edges(opened.enter_context(open(args.edges, "r", encoding="utf-8")))
+
+        parsed, ps = fork_call(read_points, parse_edge_file, "coordinate reader")
         rows = check_edges(parsed, len(ps))
     del parsed  # the parsed columns go before the graph is built
     g = Graph.from_edge_array(ps, *rows.T)
@@ -170,8 +165,7 @@ def _cmd_sweep(args) -> int:
         if args.jobs is not None:
             config = dataclasses.replace(config, jobs=args.jobs)
     except (ValueError, TypeError, KeyError) as exc:
-        print(f"hrg sweep: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad config: {exc}") from exc
     records = run_sweep(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -188,11 +182,9 @@ def _cmd_verify(args) -> int:
     from .verify import run_verify
 
     if bool(args.coords) != bool(args.edges):
-        print("hrg verify: --coords and --edges must be given together", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--coords and --edges must be given together")
     if args.seed is not None and args.seed < 0:
-        print(f"hrg verify: seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     results, code = run_verify(
         quick=args.quick, seed=args.seed, coords=args.coords, edges=args.edges
     )
@@ -217,6 +209,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"hrg {args.command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DataFormatError as exc:
         print(f"hrg {args.command}: inconsistent data: {exc}", file=sys.stderr)
         return EXIT_DATA

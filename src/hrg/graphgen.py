@@ -40,11 +40,6 @@ __all__ = [
     "build_banded",
 ]
 
-# Multiplier on the quadratic correction term of the window bound. The
-# window must never exclude a true edge; soundness of this value is
-# exercised by randomized tests against the exact threshold angle.
-WINDOW_SLACK = 1.0
-
 # Band pairs with i + j >= R - margin get the full circle: the expansion
 # behind the window bound degrades when the bands' inner radii sum to
 # less than margin beyond R.
@@ -206,12 +201,15 @@ def theta_upper(band_i: int, band_j: int, R: float) -> float:
 
     Uses the bands' inner radii (R - i, R - j), which minimize r + y over
     the pair and hence maximize the true threshold angle; central pairs
-    fall back to pi.
+    fall back to pi. The bound is 2t(1 + t^2) with t = e^((i + j - R)/2),
+    widened by ``FLOAT_GUARD``. The window must never exclude a true edge;
+    randomized tests and ``hrg verify`` check this bound against the exact
+    threshold angle.
     """
     if band_i + band_j >= R - FULL_CIRCLE_MARGIN:
         return math.pi
     t = math.exp((band_i + band_j - R) / 2.0)
-    return min(math.pi, 2.0 * t * (1.0 + WINDOW_SLACK * t * t) + FLOAT_GUARD)
+    return min(math.pi, 2.0 * t * (1.0 + t * t) + FLOAT_GUARD)
 
 
 def build_naive(ps: PointSet) -> Graph:

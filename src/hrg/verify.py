@@ -481,10 +481,9 @@ def run_verify(
     round-trip, the five sampler tests) run in one forked child, so the
     suite needs POSIX ``os.fork``. This process meanwhile runs the checks
     that share one generator, in draw order, the lens measure and the
-    ``coords``/``edges`` checks; the latter stay here so that a bad input
-    file raises its ``DataFormatError`` (exit 4, real line number) where
-    the CLI reports it. The lines keep one order whichever process ran
-    them."""
+    ``coords``/``edges`` checks. An exception of either process propagates
+    as itself, the child's first. The lines keep one order whichever
+    process ran them."""
     # imported here, before the fork, so that the child inherits it
     # instead of importing it again on every call
     import scipy.stats  # noqa: F401

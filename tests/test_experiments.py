@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -194,15 +195,18 @@ class TestGenerate:
         assert coords.read_bytes() == in_process_files(2000, 1)[0].encode()
         assert_no_child_left()
 
-    def test_child_crash_is_io_error(self, tmp_path, capsys, monkeypatch):
+    def test_writer_failure_propagates_and_reaps(self, tmp_path, monkeypatch):
+        # the forked child inherits the patched writer
         def broken_writer(stream, ps):
             raise ValueError("writer broke")
 
         monkeypatch.setattr("hrg.files.write_coords", broken_writer)
-        assert run_cli(generate_argv(tmp_path / "c.tsv", tmp_path / "e.tsv")) == 3
-        err = capsys.readouterr().err
-        assert err == "hrg generate: I/O error: coordinate writer exited with code 1\n"
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        with pytest.raises(ValueError, match="^writer broke$"):
+            run_cli(generate_argv(coords, edges, n=2000, seed=1))
         assert_no_child_left()
+        assert coords.read_bytes() == b""
+        assert edges.read_bytes() == in_process_files(2000, 1)[1].encode()
 
     def test_build_failure_propagates_and_reaps(self, tmp_path, monkeypatch):
         def broken_build(ps):
@@ -845,6 +849,40 @@ QUICK_SEED_123 = [
 ]
 
 
+class TestUsageErrors:
+    # each usage error ends with exit 2 and one stderr line; {dir} is the
+    # test's directory, whose coords.tsv and edges.tsv model alpha = 1.5
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["generate", "--n", "10", "--seed", "-1", "--out-coords", "{dir}/c.tsv",
+              "--out-edges", "{dir}/e.tsv"],
+             "hrg generate: seed must be non-negative, got -1"),
+            (["generate", "--n", "0", "--out-coords", "{dir}/c.tsv", "--out-edges", "{dir}/e.tsv"],
+             "hrg generate: node count must be at least 1, got 0"),
+            (["analyze", "--coords", "{dir}/none.tsv", "--edges", "{dir}/none.tsv",
+              "--inner-c", "nan"],
+             "hrg analyze: --inner-c must be finite, got nan"),
+            (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv"],
+             "hrg analyze: inner band needs alpha < 1, got alpha=1.5"),
+            (["sweep", "--config", "{dir}/list.json"],
+             "hrg sweep: bad config: sweep config must be a JSON object"),
+            (["verify", "--coords", "{dir}/coords.tsv"],
+             "hrg verify: --coords and --edges must be given together"),
+            (["verify", "--quick", "--seed", "-1"],
+             "hrg verify: seed must be non-negative, got -1"),
+        ],
+        ids=["generate-seed", "generate-model", "analyze-inner-c", "analyze-alpha",
+             "sweep-config", "verify-flags", "verify-seed"],
+    )
+    def test_exit_code_and_stderr_line(self, tmp_path, capsys, argv, line):
+        write_fixture(tmp_path, ModelParams(3, 1.5, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [(0, 1)])
+        (tmp_path / "list.json").write_text("[1, 2]")
+        assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", line + "\n")
+        assert_no_child_left()
+
+
 class TestForkCall:
     def test_results_of_both_sides(self):
         assert fork_call(lambda: [1, 2], lambda: "parent", "probe") == ("parent", [1, 2])
@@ -859,16 +897,29 @@ class TestForkCall:
             exc.hook = lambda: None
             raise exc
 
-        with pytest.raises(ChildProcessError, match="^probe exited with code 1$"):
+        with pytest.raises(RuntimeError, match="^probe exited with code 1$"):
             fork_call(child, lambda: None, "probe")
         assert_no_child_left()
 
-    def test_exception_outside_errors_is_child_error(self):
+    def test_child_exception_comes_out_ahead_of_the_parents(self):
         def child():
-            raise ValueError("not an I/O error")
+            raise ValueError("child broke")
 
-        with pytest.raises(ChildProcessError, match="^probe exited with code 1$"):
-            fork_call(child, lambda: None, "probe", OSError)
+        def parent():
+            raise OSError("parent broke")
+
+        with pytest.raises(ValueError, match="^child broke$") as info:
+            fork_call(child, parent, "probe")
+        assert str(info.value.__context__) == "parent broke"
+        assert_no_child_left()
+
+    def test_killed_child_is_a_runtime_error(self):
+        def child():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with pytest.raises(RuntimeError, match="^probe exited with code -9$") as info:
+            fork_call(child, lambda: None, "probe")
+        assert not isinstance(info.value, OSError)
         assert_no_child_left()
 
     def test_point_set_comes_back_read_only(self):
