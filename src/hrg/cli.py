@@ -3,7 +3,8 @@
 Subcommands: ``generate`` (coordinates + edges for one seed), ``analyze``
 (JSON report from files), ``sweep`` (CSV table from a JSON config), and
 ``verify`` (self-check suite). Exit codes: 0 success, 1 check failures,
-2 usage errors, 3 I/O failures, 4 inconsistent data files.
+2 usage errors, 3 I/O failures, 4 inconsistent data files. An output path
+that names another of the command's files is a usage error.
 
 ``generate`` writes the coordinate file in one forked child while the
 parent builds the graph and writes the edge file, so it needs POSIX
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 EXIT_OK = 0
@@ -43,6 +45,14 @@ EXIT_DATA = 4
 class UsageError(Exception):
     """A flag or an input model the command cannot run with (exit 2). It
     carries only its message, so that it pickles across a fork."""
+
+
+def _one_file(first: str, second: str) -> bool:
+    """Whether two paths name one regular file, or one path that does not
+    exist yet; a device such as /dev/null may be named twice."""
+    path = os.path.realpath(first)
+    regular = os.path.isfile(path) or not os.path.exists(path)
+    return regular and path == os.path.realpath(second)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,6 +105,8 @@ def _cmd_generate(args) -> int:
         params = ModelParams(args.n, args.alpha, args.c_param)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if _one_file(args.out_coords, args.out_edges):
+        raise UsageError("--out-coords and --out-edges name the same file")
     sampler = sample_poisson if args.poisson else sample_fixed
     ps = sampler(params, args.seed)
     # The coordinate file depends only on the sample: one forked child writes
@@ -124,6 +136,8 @@ def _cmd_analyze(args) -> int:
 
     if not math.isfinite(args.inner_c):
         raise UsageError(f"--inner-c must be finite, got {args.inner_c!r}")
+    if args.report and (_one_file(args.report, args.coords) or _one_file(args.report, args.edges)):
+        raise UsageError("--report names the same file as --coords or --edges")
     # The child's error is raised ahead of the edge file's: the coordinate
     # file's, then the model's, then the edge file's, as in a serial read.
     with contextlib.ExitStack() as opened:
@@ -159,6 +173,8 @@ def _cmd_sweep(args) -> int:
 
     from .experiments import SweepConfig, run_sweep, write_sweep_csv
 
+    if args.out and _one_file(args.out, args.config):
+        raise UsageError("--out names the same file as --config")
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = SweepConfig.from_json(fh)
@@ -166,12 +182,11 @@ def _cmd_sweep(args) -> int:
             config = dataclasses.replace(config, jobs=args.jobs)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
-    records = run_sweep(config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_sweep_csv(records, fh)
-    else:
-        write_sweep_csv(records, sys.stdout)
+    # opened before the cells run, so that a path it cannot write fails first
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        records = run_sweep(config)
+        write_sweep_csv(records, fh)
     failures = [rec for rec in records if rec.failed]
     for rec in failures:
         print(f"cell n={rec.n} seed={rec.seed} failed: {rec.error}", file=sys.stderr)

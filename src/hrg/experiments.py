@@ -208,10 +208,13 @@ def medians_by_n(records: list[SweepRecord], field: str) -> dict[int, float]:
     return {n: statistics.median(getattr(r, field) for r in records if r.n == n) for n in ns}
 
 
-def _unjudgeable(records: list[SweepRecord], least_n: int, sizes: int = 1) -> str:
-    """Why a criterion cannot judge ``records``: fewer than ``sizes`` distinct
-    n values, or an n below ``least_n``, where the ln n or ln ln n it divides
-    by is undefined or not positive. Empty when it can."""
+def _unjudgeable(records: list[SweepRecord], least_n: int = 1, sizes: int = 1) -> str:
+    """Why a criterion cannot judge ``records``: a failed cell, fewer than
+    ``sizes`` distinct n values (no records at all among them), or an n below
+    ``least_n``, where the ln n or ln ln n it divides by is undefined or not
+    positive. Empty when it can."""
+    if failed := next((r for r in records if r.failed), None):
+        return f"cannot judge: cell n = {failed.n}, seed = {failed.seed} failed"
     ns = sorted({r.n for r in records})
     if len(ns) < sizes:
         return f"cannot judge: needs cells at {sizes} or more n values, got {len(ns)}"
@@ -270,6 +273,8 @@ def second_component_bound(records: list[SweepRecord]) -> tuple[bool, str]:
 
 def core_clique_and_giant(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 6: the core is a clique in every cell, inside the giant in all but one."""
+    if reason := _unjudgeable(records):
+        return False, reason
     total = len(records)
     cliques = sum(1 for r in records if r.core_clique)
     contained = sum(1 for r in records if r.core_in_giant)
@@ -280,6 +285,8 @@ def core_clique_and_giant(records: list[SweepRecord]) -> tuple[bool, str]:
 
 def underpass_property(records: list[SweepRecord]) -> tuple[bool, str]:
     """Criterion 7: no forced edge missing over at least 10^6 sampled triples."""
+    if reason := _unjudgeable(records):
+        return False, reason
     tested = sum(r.underpass_tested for r in records)
     violations = sum(r.underpass_violations for r in records)
     return violations == 0 and tested >= 1_000_000, (

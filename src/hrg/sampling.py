@@ -28,7 +28,6 @@ __all__ = [
     "MODE_FIXED",
     "MODE_POISSON",
     "PointSet",
-    "radial_icdf",
     "sample_fixed",
     "sample_poisson",
     "poisson_counts",

@@ -47,6 +47,7 @@ __all__ = [
     "CheckResult", "run_verify", "THETA_DECAY_BOUND", "LENS_SLACK", "apsp_eccentricities",
     "theta_upper_excess", "banded_naive_mismatches", "diameter_mismatches",
     "radial_ks", "angle_chisquare", "fixed_vs_poisson_ks", "lens_measure",
+    "distance_identities", "threshold_consistency", "ball_measure_gap",
 ]
 
 # Empirical ceiling on (relative error of the leading-order connection
@@ -83,33 +84,24 @@ def _prob(name: str, p: float, detail: str) -> CheckResult:
     return CheckResult(name, "probabilistic", p >= P_FLOOR, detail, p_value=float(p))
 
 
-def _check_distance_identities(rng, samples: int) -> CheckResult:
-    params = ModelParams(10_000, 0.75, 0.0)
-    R = params.R
-    r = radial_icdf(rng.random(samples), params)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    r2 = radial_icdf(rng.random(samples), params)
-    phi2 = rng.uniform(0.0, 2.0 * math.pi, samples)
+def distance_identities(r, phi, r2, phi2, r3, phi3) -> tuple[bool, float, float]:
+    """(whether d(a, b) equals d(b, a) bit for bit, the largest |d(a, origin)
+    - r| and the largest triangle excess d(a, c) - d(a, b) - d(b, c)) over
+    the triples a = (r, phi), b = (r2, phi2), c = (r3, phi3)."""
     d_ab = pair_distances(r, phi, r2, phi2)
-    d_ba = pair_distances(r2, phi2, r, phi)
-    symmetric = bool(np.array_equal(d_ab, d_ba))
+    symmetric = bool(np.array_equal(d_ab, pair_distances(r2, phi2, r, phi)))
     radial = float(np.abs(pair_distances(r, phi, 0.0, 0.0) - r).max())
-    r3 = radial_icdf(rng.random(samples), params)
-    phi3 = rng.uniform(0.0, 2.0 * math.pi, samples)
     d_ac = pair_distances(r, phi, r3, phi3)
-    d_bc = pair_distances(r2, phi2, r3, phi3)
-    triangle = float((d_ac - (d_ab + d_bc)).max())
-    ok = symmetric and radial <= 1e-12 and triangle <= 1e-9
-    return _det(
-        "geometry/distance-identities",
-        ok,
-        f"symmetric={symmetric} radial_err={radial:.2e} triangle_slack={triangle:.2e} R={R:.2f}",
-    )
+    triangle = float((d_ac - (d_ab + pair_distances(r2, phi2, r3, phi3))).max())
+    return symmetric, radial, triangle
 
 
-def _check_threshold_consistency(rng, samples: int) -> CheckResult:
-    params = ModelParams(10_000, 0.75, 0.0)
-    R = params.R
+def threshold_consistency(rng, samples: int) -> tuple[int, bool]:
+    """Draws ``samples`` radius pairs at n = 10^4 (alpha 0.75, C 0) from
+    ``rng`` and keeps those whose ``theta_exact`` lies more than 1e-7 inside
+    (0, pi); returns (pairs kept, whether ``edge_mask`` joins every kept pair
+    1e-9 below its threshold angle and none 1e-9 above)."""
+    R = ModelParams(10_000, 0.75, 0.0).R
     r = rng.uniform(1.0, R, samples)
     y = np.maximum(rng.uniform(1.0, R, samples), R - r + 1e-6)
     theta = np.asarray(theta_exact(r, y, R))
@@ -117,12 +109,7 @@ def _check_threshold_consistency(rng, samples: int) -> CheckResult:
     r, y, theta = r[usable], y[usable], theta[usable]
     below = edge_mask(r, 0.0, y, theta - 1e-9, R)
     above = edge_mask(r, 0.0, y, theta + 1e-9, R)
-    ok = bool(below.all() and not above.any())
-    return _det(
-        "geometry/threshold-consistency",
-        ok,
-        f"{r.size} radius pairs, edge below threshold / non-edge above",
-    )
+    return r.size, bool(below.all() and not above.any())
 
 
 def _check_theta_decay() -> CheckResult:
@@ -147,17 +134,13 @@ def _check_theta_decay() -> CheckResult:
     )
 
 
-def _check_ball_measure() -> CheckResult:
-    params = ModelParams.from_radius(50.0, 0.75)
-    R = params.R
-    exact = mu_ball_origin_exact(R / 2.0, params)
-    approx = math.exp(-params.alpha * R / 2.0)
-    rel = abs(exact - approx) / approx
-    return _det(
-        "geometry/ball-measure-asymptotic",
-        rel <= 0.01,
-        f"relative gap {rel:.2e} at r=R/2, R={R:.1f}",
-    )
+def ball_measure_gap(radius: float) -> float:
+    """Relative gap between ``mu_ball_origin_exact`` at r = R/2 and its
+    asymptotic form exp(-alpha R/2), on the disc of radius ``radius`` at
+    alpha 0.75."""
+    params = ModelParams.from_radius(radius, 0.75)
+    approx = math.exp(-params.alpha * params.R / 2.0)
+    return abs(mu_ball_origin_exact(params.R / 2.0, params) - approx) / approx
 
 
 def theta_upper_excess(rng, samples_per_pair: int) -> tuple[int, float]:
@@ -434,12 +417,22 @@ def _parent_checks(
     the lens line)."""
     rng = np.random.default_rng(seed)
     scale = 10 if quick else 1
+    params, samples = ModelParams(10_000, 0.75, 0.0), 100_000 // scale
 
-    results: list[CheckResult] = []
-    results.append(_check_distance_identities(rng, 100_000 // scale))
-    results.append(_check_threshold_consistency(rng, 100_000 // scale))
+    def point():
+        return radial_icdf(rng.random(samples), params), rng.uniform(0.0, 2.0 * math.pi, samples)
+
+    symmetric, radial, triangle = distance_identities(*point(), *point(), *point())
+    ok = symmetric and radial <= 1e-12 and triangle <= 1e-9
+    detail = f"symmetric={symmetric} radial_err={radial:.2e} triangle_slack={triangle:.2e}"
+    results = [_det("geometry/distance-identities", ok, f"{detail} R={params.R:.2f}")]
+    pairs, consistent = threshold_consistency(rng, samples)
+    detail = f"{pairs} radius pairs, edge below threshold / non-edge above"
+    results.append(_det("geometry/threshold-consistency", consistent, detail))
     results.append(_check_theta_decay())
-    results.append(_check_ball_measure())
+    gap = ball_measure_gap(50.0)
+    detail = f"relative gap {gap:.2e} at r=R/2, R=50.0"
+    results.append(_det("geometry/ball-measure-asymptotic", gap <= 0.01, detail))
     pairs, excess = theta_upper_excess(rng, 200 // scale)
     results.append(
         _det(

@@ -17,6 +17,7 @@ from hrg._fork import fork_call
 from hrg.cli import main
 from hrg.experiments import (
     CSV_COLUMNS,
+    SWEEP_CRITERIA,
     SweepConfig,
     SweepRecord,
     core_clique_and_giant,
@@ -122,6 +123,11 @@ class TestGenerate:
         assert code == 0
         assert len(coords.read_text().splitlines()) == 2
         assert edges.read_text() == ""
+
+    def test_device_may_take_both_outputs(self, capsys):
+        # only one regular file named twice is refused
+        assert run_cli(generate_argv(os.devnull, os.devnull, n=100)) == 0
+        assert capsys.readouterr().out.startswith("wrote 100 points")
 
     def test_poisson_count_reproducible(self, tmp_path):
         out = []
@@ -622,6 +628,14 @@ class TestSweep:
                     assert (cell == "nan") == (name not in kept), (target, name, cell)
             assert "failed" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_the_cells_run(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr("hrg.experiments.run_sweep", lambda cfg: seen.append(cfg) or [])
+        config = self.make_config(tmp_path)
+        out = tmp_path / "missing" / "sweep.csv"
+        assert run_cli(["sweep", "--config", str(config), "--out", str(out)]) == 3
+        assert seen == []
+
     def test_alpha_near_one_cell_runs(self):
         [record] = run_sweep(SweepConfig(n_values=(1000,), alpha=0.999, C=0.0, seeds=1))
         assert not record.failed, record.error
@@ -809,9 +823,18 @@ class TestSweepCriteria:
             (inner_band_reach, "inner_band_hops", {1: [0.0], 4096: [1.0]}, "n >= 3, got n = 1"),
             # ln ln 2 < 0 made this pass: hops/lnln(n) spans [-2.728, 0.472]
             (inner_band_reach, "inner_band_hops", {2: [1.0], 4096: [1.0]}, "n >= 3, got n = 2"),
+            (core_clique_and_giant, "core_clique", {}, "got 0"),
+            (underpass_property, "underpass_tested", {}, "got 0"),
+        ] + [
+            # a failed cell keeps SweepRecord's defaults, which read as a clique
+            # inside the giant, nan for every measure and no triples tested
+            (criterion, "failed", {2048: [False], 4096: [False, True]},
+             "n = 4096, seed = 2 failed")
+            for criterion in SWEEP_CRITERIA.values()
         ],
         ids=["3-empty", "3-n1", "4-empty", "4-one-n", "4-n1", "4-zero-then-one", "4-all-zero",
-             "5-empty", "5-n1", "11-empty", "11-n1", "11-n2"],
+             "5-empty", "5-n1", "11-empty", "11-n1", "11-n2", "6-empty", "7-empty",
+             "3-failed", "4-failed", "5-failed", "6-failed", "7-failed", "11-failed"],
     )
     def test_unjudgeable_records_fail_with_the_reason(self, criterion, field, values, reason):
         ok, detail = criterion(cells(field, values))
@@ -860,26 +883,38 @@ class TestUsageErrors:
              "hrg generate: seed must be non-negative, got -1"),
             (["generate", "--n", "0", "--out-coords", "{dir}/c.tsv", "--out-edges", "{dir}/e.tsv"],
              "hrg generate: node count must be at least 1, got 0"),
+            (["generate", "--n", "10", "--out-coords", "{dir}/x.tsv",
+              "--out-edges", "{dir}/./x.tsv"],
+             "hrg generate: --out-coords and --out-edges name the same file"),
             (["analyze", "--coords", "{dir}/none.tsv", "--edges", "{dir}/none.tsv",
               "--inner-c", "nan"],
              "hrg analyze: --inner-c must be finite, got nan"),
+            (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv",
+              "--report", "{dir}/./coords.tsv"],
+             "hrg analyze: --report names the same file as --coords or --edges"),
             (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv"],
              "hrg analyze: inner band needs alpha < 1, got alpha=1.5"),
             (["sweep", "--config", "{dir}/list.json"],
              "hrg sweep: bad config: sweep config must be a JSON object"),
+            (["sweep", "--config", "{dir}/list.json", "--out", "{dir}/list.json"],
+             "hrg sweep: --out names the same file as --config"),
             (["verify", "--coords", "{dir}/coords.tsv"],
              "hrg verify: --coords and --edges must be given together"),
             (["verify", "--quick", "--seed", "-1"],
              "hrg verify: seed must be non-negative, got -1"),
         ],
-        ids=["generate-seed", "generate-model", "analyze-inner-c", "analyze-alpha",
-             "sweep-config", "verify-flags", "verify-seed"],
+        ids=["generate-seed", "generate-model", "generate-one-file", "analyze-inner-c",
+             "analyze-report-coords", "analyze-alpha", "sweep-config", "sweep-out-config",
+             "verify-flags", "verify-seed"],
     )
     def test_exit_code_and_stderr_line(self, tmp_path, capsys, argv, line):
         write_fixture(tmp_path, ModelParams(3, 1.5, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [(0, 1)])
         (tmp_path / "list.json").write_text("[1, 2]")
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 2
         assert capsys.readouterr() == ("", line + "\n")
+        # no file written, and none overwritten
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
         assert_no_child_left()
 
 

@@ -1,5 +1,6 @@
-"""Every exported name of the package and its modules resolves, and so does
-every function the benchmark's tracer wraps. scipy loads only inside the
+"""Every exported name of the package and its modules resolves, a submodule
+exports only names it defines itself, and every function the benchmark's
+tracer wraps resolves. scipy loads only inside the
 ``hrg verify`` functions that call it, so ``hrg generate``, ``hrg analyze``
 and the sweep run without it. ``geometry`` imports no other module of the
 package."""
@@ -29,6 +30,32 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+def top_level_names(source: str) -> set[str]:
+    """Names that a module's own top-level statements define: its functions,
+    classes and assigned names, not the names it imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_submodules_export_only_their_own_names():
+    # a name has one home: a submodule does not re-export what another defines
+    assert top_level_names("import x\nfrom y import z\nA = 1\nclass B: pass\n") == {"A", "B"}
+    foreign = {
+        path.name: sorted(extra)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (extra := set(getattr(importlib.import_module(f"hrg.{path.stem}"), "__all__", ()))
+             - top_level_names(path.read_text(encoding="utf-8")))
+    }
+    assert not foreign
 
 
 def test_star_import():
