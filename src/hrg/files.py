@@ -6,6 +6,15 @@ followed by ``<id>\\t<r>\\t<phi>`` rows with 17 significant digits, ids
 0..count-1 in sampling order, so floats round-trip exactly. Edge files
 hold one ``<min_id>\\t<max_id>`` row per edge, sorted by that pair, with
 no header.
+
+The writers write byte for byte what ``"%d\\t%.17g\\t%.17g\\n"`` and
+``"%d\\t%d\\n"`` format, with no Python step per row: a block of rows is
+one uint8 matrix with a row per character position, NUL where a line is
+shorter, and the block's text is its transpose's bytes without the NULs.
+Digits come from integer arithmetic in 9-digit chunks, the floats' from
+their exactly rounded 17-digit significands (:func:`_significands`). A
+row holding a float that ``%.17g`` prints as ``0`` or with an exponent
+(r = 0, angles below 1e-4), or one of 1e5 or more, is formatted by ``%``.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import io
 import json
 import math
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from typing import TextIO
 
 import numpy as np
@@ -64,6 +73,10 @@ class DataFormatError(Exception):
 
 
 def write_coords(stream: TextIO, ps: PointSet) -> None:
+    """Write the header and ``%d\\t%.17g\\t%.17g\\n`` rows, ``WRITE_BLOCK``
+    rows per ``write``. Each block is one character matrix; rows holding a
+    value outside fixed notation (r = 0, angles below 1e-4) are formatted
+    by ``%``."""
     p = ps.params
     stream.write(
         f"# hrg v1 n={p.n} alpha={p.alpha!r} C={p.C!r} R={p.R!r} "
@@ -71,8 +84,11 @@ def write_coords(stream: TextIO, ps: PointSet) -> None:
     )
     for start in range(0, len(ps), WRITE_BLOCK):
         stop = min(start + WRITE_BLOCK, len(ps))
-        rows = zip(range(start, stop), ps.r[start:stop].tolist(), ps.phi[start:stop].tolist())
-        stream.write("%d\t%.17g\t%.17g\n" * (stop - start) % tuple(chain.from_iterable(rows)))
+        r, phi = ps.r[start:stop], ps.phi[start:stop]
+        (r_cells, r_slow), (phi_cells, phi_slow) = _float_cells(r), _float_cells(phi)
+        cells = _join_fields(_int_cells(np.arange(start, stop)), r_cells, phi_cells)
+        slow = np.flatnonzero(r_slow | phi_slow).tolist()
+        stream.write(_text(cells, {i: "%d\t%.17g\t%.17g\n" % (start + i, r[i], phi[i]) for i in slow}))
 
 
 def _parse_header(line: str) -> tuple[ModelParams, int, str]:
@@ -131,12 +147,148 @@ def write_edges(stream: TextIO, g: Graph) -> None:
     """Write the canonical rows of :meth:`Graph.edge_rows`, sorted, derived
     and formatted per block of nodes: a block starts at the last node
     boundary at or below each multiple of ``WRITE_BLOCK`` half-edges, so it
-    holds at most ``WRITE_BLOCK`` rows beyond those of its first node."""
+    holds at most ``WRITE_BLOCK`` rows beyond those of its first node.
+    A block's ``%d\\t%d\\n`` rows are formatted as one character matrix
+    (:func:`_int_cells`); no row goes through ``%``."""
     ends = np.cumsum(g.degrees)
     cuts = np.searchsorted(ends, range(0, 2 * g.m, WRITE_BLOCK), side="right").tolist()
     for lo, hi in zip(cuts, cuts[1:] + [g.n]):
         block = g.edge_rows(lo, hi)
-        stream.write("%d\t%d\n" * len(block) % tuple(block.ravel().tolist()))
+        stream.write(_text(_join_fields(_int_cells(block[:, 0]), _int_cells(block[:, 1])), {}))
+
+
+# Exact doubles 10**0 .. 10**22, and Dekker's splitting constant 2**27 + 1
+_POW10 = np.array([float(10**i) for i in range(23)])
+_SPLIT = float(2**27 + 1)
+_CHUNK = 10**9
+_TAB, _NL, _DOT, _ZERO = 9, 10, 46, 48
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """``%d`` of non-negative int64 ``values`` as character columns: a
+    (width, len(values)) uint8 matrix, right-aligned, NUL on the left."""
+    width = len(str(int(values.max(initial=0))))
+    chunks, rest = [], values
+    for _ in range((width - 1) // 9):
+        rest, low = np.divmod(rest, _CHUNK)
+        chunks.append(low)
+    cells = _digit_rows(chunks + [rest], width)
+    for row in range(width - 1):
+        cells[row] *= values >= 10 ** (width - 1 - row)
+    return cells
+
+
+def _digit_rows(chunks: list[np.ndarray], width: int) -> np.ndarray:
+    """The last ``width`` decimal digits, most significant first, of the
+    numbers whose base-10**9 digits are ``chunks`` (least significant
+    first, each below 10**9), as rows of ASCII characters. Each chunk is
+    taken apart in uint32."""
+    cells = np.empty((width, chunks[0].size), np.uint8)
+    row = width
+    for chunk in chunks:
+        chunk = chunk.astype(np.uint32)
+        for _ in range(min(9, row)):
+            row -= 1
+            quotient = chunk // 10
+            cells[row] = chunk - quotient * 10
+            chunk = quotient
+    cells += _ZERO
+    return cells
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's TwoProduct: ``p = fl(a * b)`` and ``e`` with ``a * b = p + e``
+    exactly, barring overflow and underflow."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into halves of 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _significands(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits ``%.17g`` prints of each ``x``.
+
+    Returns ``(digits, exponents, slow)``: rounded half to even, x is
+    ``digits * 10**(exponents - 16)`` with ``10**16 <= digits < 10**17``.
+    ``slow`` marks the values outside [1e-4, 1e5) after rounding (0 and NaN
+    among them); their digits and exponents mean nothing. The exponent is
+    guessed from ``log10`` and corrected until the exact product
+    ``x * 10**(16 - k)`` lies in [10**16, 10**17), so ``log10`` cannot
+    change a digit.
+    """
+    slow = ~((x >= 1e-5) & (x < 1e5))
+    x = np.where(slow, 1.0, x)
+    k = np.floor(np.log10(x)).astype(np.int64)
+    digits = np.empty_like(k)
+    todo = np.arange(x.size)
+    while todo.size:
+        # -6 <= k <= 5 here, and 10**(16 - k) is an exact double
+        p, e = _two_product(x[todo], _POW10[16 - k[todo]])
+        low = (p < 1e16) | ((p == 1e16) & (e < 0))
+        high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+        # p >= 2**53 is an even integer where neither holds, so rounding
+        # p + e half to even is p + rint(e)
+        digits[todo] = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        k[todo] += high.astype(np.int64) - low
+        todo = todo[low | high]
+    # No rounding carries to 10**17: the powers of ten 10**-4 .. 10**-1 are
+    # rounded up to doubles, and the others are exact, so no double lies
+    # within half a unit of the 17th digit below one.
+    slow |= (k < -4) | (k > 4)
+    return digits, k, slow
+
+
+def _float_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``%.17g`` of ``x`` as character columns with one column for the
+    decimal point, NUL before the first digit and after the last; and the
+    mask of the values :func:`_significands` leaves to ``%``.
+
+    With F fraction columns, the digits are those of the integer
+    ``digits * 10**(F - 16 + exponent)``, which has at most 25."""
+    digits, k, slow = _significands(x)
+    digits[slow], k[slow] = 10**16, 0
+    top, bottom = max(int(k.max(initial=0)), 0), int(k.min(initial=0))
+    whole, frac = top + 1, 16 - bottom
+    high, low = np.divmod(digits, _CHUNK)
+    shift = 10 ** (k - bottom)  # at most 10**8
+    carry, low = np.divmod(low * shift, _CHUNK)
+    high, middle = np.divmod(high * shift + carry, _CHUNK)
+    cells = _digit_rows([low, middle, high], whole + frac)
+    for row in range(whole - 1):  # blank leading zeros of the integer part
+        cells[row] *= k >= whole - 1 - row
+    last = np.zeros(x.size, np.int64)  # the last nonzero fraction digit
+    for place in range(1, frac + 1):
+        last[cells[whole - 1 + place] != _ZERO] = place
+    for place in range(1, frac + 1):
+        cells[whole - 1 + place] *= last >= place
+    point = np.where(last > 0, _DOT, 0).astype(np.uint8)
+    return np.concatenate((cells[:whole], point[None], cells[whole:])), slow
+
+
+def _join_fields(*fields: np.ndarray) -> np.ndarray:
+    """Character columns of rows: ``fields`` joined by tabs, ended by a
+    newline."""
+    count = fields[0].shape[1]
+    seps = [np.full((1, count), sep, np.uint8) for sep in [_TAB] * (len(fields) - 1) + [_NL]]
+    return np.concatenate([part for pair in zip(fields, seps) for part in pair])
+
+
+def _text(cells: np.ndarray, rows: dict[int, str]) -> str:
+    """The rows that the character columns ``cells`` hold, without their
+    NUL characters, with each row i of ``rows`` replaced by its text."""
+    pieces, start = [], 0
+    for i in sorted(rows) + [cells.shape[1]]:
+        pieces.append(cells[:, start:i].T.tobytes().translate(None, b"\0").decode("ascii"))
+        pieces.append(rows.get(i, ""))
+        start = i + 1
+    return "".join(pieces)
 
 
 def read_edges(stream: TextIO, point_count: int) -> np.ndarray:

@@ -23,9 +23,13 @@ TWO_PI = 2.0 * math.pi
 # double from R = 355.24 on; past that, an inf or NaN distance decides edges.
 MAX_RADIUS = 355.0
 
+# Largest node count ModelParams accepts: every node id fits in an int32.
+MAX_NODES = 2**31 - 1
+
 __all__ = [
     "TWO_PI",
     "MAX_RADIUS",
+    "MAX_NODES",
     "ModelParams",
     "MonteCarloEstimate",
     "pair_distances",
@@ -47,9 +51,10 @@ class ModelParams:
 
     Degree power laws with exponent between 2 and 3 correspond to
     ``1/2 < alpha < 1``, but any finite positive alpha is accepted.
-    ``ValueError`` rejects a non-finite alpha or C, R < 0, R above
-    ``MAX_RADIUS``, where the edge test's sinh products overflow a double,
-    and alpha * R >= 700, where cosh(alpha * R) overflows.
+    ``ValueError`` rejects n outside [1, ``MAX_NODES``], a non-finite
+    alpha or C, R < 0, R above ``MAX_RADIUS``, where the edge test's sinh
+    products overflow a double, and alpha * R >= 700, where
+    cosh(alpha * R) overflows.
     """
 
     n: int
@@ -60,6 +65,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"node count must be at least 1, got {self.n}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"node count must be below 2**31, got {self.n}")
         if not (0.0 < self.alpha < math.inf and math.isfinite(self.C)):
             raise ValueError(f"need finite alpha > 0 and finite C, got {self.alpha}, {self.C}")
         radius = 2.0 * math.log(self.n) + self.C
@@ -90,10 +97,13 @@ class ModelParams:
     @classmethod
     def from_radius(cls, radius: float, alpha: float) -> "ModelParams":
         """Params with C = 0 whose disc radius is as close to ``radius`` as an
-        integer node count allows. Useful for measure-level studies where
-        only R and alpha matter."""
+        integer node count allows; beyond 2 ln ``MAX_NODES`` (about 42.97),
+        n = ``MAX_NODES`` and C makes up the rest. Useful for measure-level
+        studies where only R and alpha matter."""
         n = max(1, round(math.exp(radius / 2.0)))
-        return cls(n=n, alpha=alpha, C=0.0)
+        if n <= MAX_NODES:
+            return cls(n=n, alpha=alpha, C=0.0)
+        return cls(n=MAX_NODES, alpha=alpha, C=radius - 2.0 * math.log(MAX_NODES))
 
 
 def _ret(x: np.ndarray) -> float | np.ndarray:

@@ -38,7 +38,7 @@ from hrg.files import (
     write_coords,
     write_edges,
 )
-from hrg.geometry import ModelParams, theta_exact
+from hrg.geometry import MAX_NODES, ModelParams, theta_exact
 from hrg.graphgen import build_banded
 from hrg import verify
 from hrg.sampling import sample_fixed, sample_poisson
@@ -336,11 +336,11 @@ class TestAnalyze:
         assert report["checks"] == {"core_size": 1, "core_clique": True, "core_in_giant": True}
 
     def test_poisson_header_n_far_above_row_count(self, tmp_path, capsys):
-        # the band diagnostics split the circle into n sectors, and n = 10^12
-        # sectors would take terabytes as a histogram
+        # the band diagnostics split the circle into n sectors, and the
+        # largest n, 2^31 - 1 sectors, would take 16 GB as a histogram
         from hrg.sampling import MODE_POISSON, PointSet
 
-        params = ModelParams(10**12, 0.75, 0.0)
+        params = ModelParams(MAX_NODES, 0.75, 0.0)
         ps = PointSet(params, np.array([1.0, 2.0, 3.0]), np.array([0.5, 1.5, 2.5]), MODE_POISSON, 1)
         coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
         with open(coords, "w") as fh:
@@ -348,7 +348,7 @@ class TestAnalyze:
         edges.write_text("")
         assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 0
         bands = json.loads(capsys.readouterr().out)["bands"]
-        assert bands["sectors"] == 10**12
+        assert bands["sectors"] == MAX_NODES
         assert bands["max_nodes_in_window"] == 1
 
     def test_nonpositive_alpha_header_is_data_error(self, tmp_path, capsys):
@@ -358,6 +358,13 @@ class TestAnalyze:
         assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
         err = capsys.readouterr().err
         assert "line 1" in err and "alpha" in err
+
+    def test_node_count_past_int32_ids_is_data_error(self, tmp_path, capsys):
+        coords, edges = write_fixture(tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
+        coords.write_text(coords.read_text().replace("n=3 ", f"n={2**31} ", 1))
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        err = capsys.readouterr().err
+        assert "line 1" in err and f"node count must be below 2**31, got {2**31}" in err
 
     def test_radius_past_the_edge_test_is_data_error(self, tmp_path, capsys):
         coords, edges = write_fixture(tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [])
@@ -671,6 +678,14 @@ class TestSweep:
         with pytest.raises(ValueError, match="overflows"):
             SweepConfig(n_values=(10, 1000), alpha=0.75, C=345.0, seeds=1)
 
+    def test_node_count_past_int32_ids_is_usage_error(self, tmp_path, capsys):
+        SweepConfig(n_values=(1024, MAX_NODES), alpha=0.75, C=0.0, seeds=1)
+        config = self.make_config(tmp_path, n_values=[1024, 2**31])
+        assert run_cli(["sweep", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"hrg sweep: bad config: node count must be below 2**31, got {2**31}\n"
+        )
+
     def test_removed_toggle_keys_rejected(self, tmp_path):
         for key in ("run_diameter", "run_degrees", "run_sectors", "run_inner_hops"):
             config = self.make_config(tmp_path, **{key: True})
@@ -883,6 +898,9 @@ class TestUsageErrors:
              "hrg generate: seed must be non-negative, got -1"),
             (["generate", "--n", "0", "--out-coords", "{dir}/c.tsv", "--out-edges", "{dir}/e.tsv"],
              "hrg generate: node count must be at least 1, got 0"),
+            (["generate", "--n", "3000000000", "--out-coords", "{dir}/c.tsv",
+              "--out-edges", "{dir}/e.tsv"],
+             "hrg generate: node count must be below 2**31, got 3000000000"),
             (["generate", "--n", "10", "--out-coords", "{dir}/x.tsv",
               "--out-edges", "{dir}/./x.tsv"],
              "hrg generate: --out-coords and --out-edges name the same file"),
@@ -903,7 +921,7 @@ class TestUsageErrors:
             (["verify", "--quick", "--seed", "-1"],
              "hrg verify: seed must be non-negative, got -1"),
         ],
-        ids=["generate-seed", "generate-model", "generate-one-file", "analyze-inner-c",
+        ids=["generate-seed", "generate-model", "generate-nodes", "generate-one-file", "analyze-inner-c",
              "analyze-report-coords", "analyze-alpha", "sweep-config", "sweep-out-config",
              "verify-flags", "verify-seed"],
     )

@@ -1,10 +1,12 @@
 """Differential tests of the TSV readers against the line-by-line parsers
 they replaced: identical arrays on valid files, the same error and line
-number on malformed ones. The edge writer's blocks write the bytes of all
-rows formatted at once."""
+number on malformed ones. The writers write byte for byte what ``%``
+formats, the edge writer's blocks the bytes of all rows formatted at
+once."""
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hrg.files import (
     write_coords,
     write_edges,
 )
-from hrg.geometry import TWO_PI, ModelParams
+from hrg.geometry import MAX_RADIUS, TWO_PI, ModelParams
 from hrg.graphgen import Graph, build_banded
 from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
 
@@ -457,12 +459,21 @@ def star_and_path():
     return Graph.from_edge_array(ps, us, vs)
 
 
+def long_path(count=1200):
+    # ids 0..count-1 in one path: the id widths grow inside blocks
+    params = ModelParams(count, 0.75, 0.0)
+    ps = PointSet(params, np.zeros(count), np.zeros(count), MODE_FIXED, 0)
+    return Graph.from_edge_array(ps, np.arange(count - 1), np.arange(1, count))
+
+
 class TestEdgeWriter:
     @pytest.mark.parametrize("block", [1, 3, 16, files.WRITE_BLOCK])
-    @pytest.mark.parametrize("make", ["sample", "star"])
+    @pytest.mark.parametrize("make", ["sample", "star", "path"])
     def test_blocks_write_the_rows_in_one_go(self, monkeypatch, block, make):
         if make == "star":
             g = star_and_path()
+        elif make == "path":
+            g = long_path()
         else:
             g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 21))
         monkeypatch.setattr(files, "WRITE_BLOCK", block)
@@ -484,3 +495,119 @@ class TestEdgeWriter:
         stream = Writes()
         write_edges(stream, g)
         assert stream.getvalue() == "" and stream.rows == []
+
+
+def oracle_write_coords(ps):
+    """The coordinate writer as it stood before the character matrices:
+    ``%`` over every row."""
+    p = ps.params
+    header = (
+        f"# hrg v1 n={p.n} alpha={p.alpha!r} C={p.C!r} R={p.R!r} "
+        f"seed={ps.seed} mode={ps.mode}\n"
+    )
+    rows = zip(range(len(ps)), ps.r.tolist(), ps.phi.tolist())
+    return header + "".join("%d\t%.17g\t%.17g\n" % row for row in rows)
+
+
+def ulp_neighbours(x, count=200):
+    """``x`` and the ``count`` doubles on either side of it, for x > 0."""
+    return (np.array([x]).view(np.int64) + np.arange(-count, count + 1)).view(np.float64)
+
+
+# the widest disc: R just below MAX_RADIUS
+WIDE = ModelParams(2, 0.75, MAX_RADIUS - 2.0 * math.log(2))
+POWER_NEIGHBOURS = np.concatenate([ulp_neighbours(float(f"1e{e}")) for e in range(-7, 4)])
+# 9.99…9 and 0.099…9 parse to the doubles 10 and 0.1; the angles below
+# 1e-4 print in exponent form
+EDGE_VALUES = [0.0, 9.99999999999999999, 0.099999999999999999, 5e-5, 1e-6, 5e-7, 1e-300, 5e-324]
+SPECIAL = POWER_NEIGHBOURS.tolist() + EDGE_VALUES
+RADII = st.one_of(st.floats(0.0, WIDE.R), st.sampled_from([x for x in SPECIAL if x <= WIDE.R]))
+ANGLES = st.one_of(
+    st.floats(0.0, TWO_PI, exclude_max=True),
+    st.floats(1e-6, 1e-4),
+    st.floats(0.0, 1e-6),
+    st.sampled_from([x for x in SPECIAL if x < TWO_PI]),
+)
+
+
+@st.composite
+def point_sets(draw):
+    rows = draw(st.lists(st.tuples(RADII, ANGLES), max_size=40))
+    r, phi = (np.array(column, float) for column in zip(*rows)) if rows else (np.zeros(0),) * 2
+    return PointSet(WIDE, r, phi, MODE_POISSON, draw(st.integers(0, 2**63 - 1)))
+
+
+def float_column(x):
+    """``%.17g\\n`` rows of ``x`` as the coordinate writer formats them."""
+    cells, slow = files._float_cells(x)
+    return files._text(files._join_fields(cells), {i: "%.17g\n" % x[i] for i in np.flatnonzero(slow)})
+
+
+def int_column(values):
+    """``%d\\n`` rows of ``values`` as the writers format them."""
+    return files._text(files._join_fields(files._int_cells(np.asarray(values, np.int64))), {})
+
+
+class TestCoordinateWriter:
+    @EXAMPLES
+    @given(point_sets(), st.sampled_from([1, 3, 7, files.WRITE_BLOCK]))
+    def test_matches_percent_formatting(self, ps, block):
+        stream = Writes()
+        with mock.patch.object(files, "WRITE_BLOCK", block):
+            write_coords(stream, ps)
+        assert stream.getvalue() == oracle_write_coords(ps)
+        assert max(stream.rows) <= max(block, 1)  # the header's write holds one
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_ids_widen_inside_a_block(self, monkeypatch, block):
+        # blocks of 3 and 7 hold ids 9 and 10, 99 and 100, 999 and 1000
+        ps = sample_fixed(ModelParams(1005, 0.75, 0.0), 5)
+        monkeypatch.setattr(files, "WRITE_BLOCK", block)
+        stream = Writes()
+        write_coords(stream, ps)
+        assert stream.getvalue() == oracle_write_coords(ps)
+        assert stream.rows == [1] + [block] * (1005 // block) + [1005 % block] * (1005 % block > 0)
+
+    @pytest.mark.parametrize("offset", [0.0, -1.0, 1.0])
+    def test_power_of_ten_neighbours(self, monkeypatch, offset):
+        # the fast path holds [1e-4, 1e5) after rounding; 1e4 and 1e5 are its
+        # last power inside and its bound. log10 only seeds the exponent: a
+        # guess one off either way changes no byte
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
+        x = np.concatenate((POWER_NEIGHBOURS, ulp_neighbours(1e4), ulp_neighbours(1e5), EDGE_VALUES))
+        assert float_column(x) == "".join("%.17g\n" % value for value in x.tolist())
+
+    def test_rounding_half_to_even(self):
+        # odd multiples of 2**-15 in [100, 355) end in a 5 one place past the
+        # 17th digit
+        x = (np.arange(100 * 2**15, 355 * 2**15, 2**10 + 2) | 1) / 2.0**15
+        assert float_column(x) == "".join("%.17g\n" % value for value in x.tolist())
+
+    def test_only_values_outside_fixed_notation_go_to_percent(self, monkeypatch):
+        seen = []
+        text = files._text
+        monkeypatch.setattr(files, "_text", lambda cells, rows: seen.append(sorted(rows)) or text(cells, rows))
+        r = [0.0, 1.0, 2.0, 0.5, 3.0, 1e-4, 1e-5]
+        phi = [1.0, 5e-5, 1e-300, 2.0, 9.9999999999999e-5, 1e-4, 0.25]
+        ps = PointSet(WIDE, np.array(r), np.array(phi), MODE_POISSON, 0)
+        stream = io.StringIO()
+        write_coords(stream, ps)
+        assert stream.getvalue() == oracle_write_coords(ps)
+        # r = 0, and every value printed with an exponent; 1e-4 prints 0.0001
+        assert seen == [[0, 1, 2, 4, 6]]
+
+
+class TestIntegerFormatter:
+    VALUES = [0, 9, 10, 10**9 - 1, 10**9, 2**32, 2**63 - 1]
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_one_value_matches_str(self, value):
+        assert int_column([value]) == f"{value}\n"
+
+    def test_widths_in_one_column_match_str(self):
+        # right-aligned to 2**63 - 1's 19 digits, padded on the left
+        assert int_column(self.VALUES) == "".join(f"{v}\n" for v in self.VALUES)
+
+    def test_empty_column(self):
+        assert int_column([]) == ""

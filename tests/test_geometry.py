@@ -9,6 +9,7 @@ from conftest import mp_distance, mp_theta, mp_theta_decay
 
 from hrg import geometry
 from hrg.geometry import (
+    MAX_NODES,
     MAX_RADIUS,
     TWO_PI,
     ModelParams,
@@ -75,6 +76,16 @@ class TestModelParams:
     def test_from_radius(self):
         params = ModelParams.from_radius(30.0, 0.75)
         assert abs(params.R - 30.0) < 1e-5
+
+    def test_node_count_bound(self):
+        # every node id fits in an int32
+        assert ModelParams(MAX_NODES, 0.75, 0.0).n == 2**31 - 1
+        for n in (2**31, 3 * 10**9):
+            with pytest.raises(ValueError, match=r"^node count must be below 2\*\*31, got "):
+                ModelParams(n, 0.75, 0.0)
+        # past 2 ln MAX_NODES, C makes up the radius
+        params = ModelParams.from_radius(50.0, 0.75)
+        assert params.n == MAX_NODES and params.R == pytest.approx(50.0, rel=1e-15)
 
 
 class TestHyperbolicDistance:
