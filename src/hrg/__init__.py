@@ -1,89 +1,12 @@
 """Hyperbolic random graphs: seeded generation, exact structural analysis,
 and a desk-scale experiment harness."""
 
-from .analysis import (
-    BandDiagnostics,
-    ComponentReport,
-    DegreeStats,
-    GraphAnalysis,
-    InnerBandReach,
-    UnderpassResult,
-    analyze_graph,
-    band_diagnostics,
-    check_core_clique,
-    check_underpass,
-    component_report,
-    connected_components,
-    degree_stats,
-    exact_diameter,
-    inner_band_hops,
-    inner_band_radius,
-    max_empty_sector_run,
-)
-from .geometry import (
-    ModelParams,
-    MonteCarloEstimate,
-    edge_mask,
-    mu_ball_origin_exact,
-    mu_lens_approx,
-    mu_monte_carlo,
-    pair_distances,
-    radial_icdf,
-    theta_approx,
-    theta_exact,
-)
-from .graphgen import BandIndex, Graph, build_banded, build_naive, layer_of_radius, theta_upper
-from .sampling import (
-    MODE_FIXED,
-    MODE_POISSON,
-    PointSet,
-    disjointness_check,
-    poisson_counts,
-    sample_fixed,
-    sample_poisson,
-)
+from . import analysis, geometry, graphgen, sampling
+from .analysis import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .graphgen import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandDiagnostics",
-    "BandIndex",
-    "ComponentReport",
-    "DegreeStats",
-    "Graph",
-    "GraphAnalysis",
-    "InnerBandReach",
-    "MODE_FIXED",
-    "MODE_POISSON",
-    "ModelParams",
-    "MonteCarloEstimate",
-    "PointSet",
-    "UnderpassResult",
-    "analyze_graph",
-    "band_diagnostics",
-    "build_banded",
-    "build_naive",
-    "check_core_clique",
-    "check_underpass",
-    "component_report",
-    "connected_components",
-    "degree_stats",
-    "disjointness_check",
-    "edge_mask",
-    "exact_diameter",
-    "inner_band_hops",
-    "inner_band_radius",
-    "layer_of_radius",
-    "max_empty_sector_run",
-    "mu_ball_origin_exact",
-    "mu_lens_approx",
-    "mu_monte_carlo",
-    "pair_distances",
-    "poisson_counts",
-    "radial_icdf",
-    "sample_fixed",
-    "sample_poisson",
-    "theta_approx",
-    "theta_exact",
-    "theta_upper",
-]
+__all__ = [*analysis.__all__, *geometry.__all__, *graphgen.__all__, *sampling.__all__]

@@ -347,8 +347,8 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     n, phi, r = g.n, g.pointset.phi, g.pointset.r
     order = angle_order(phi)
     doubled = np.concatenate((phi[order], phi[order] + TWO_PI))
-    rows = g.edge_rows()
-    keys = rows[:, 0] * n + rows[:, 1]  # sorted, as the rows are canonical
+    small, large = g.edges()
+    keys = small * n + large  # sorted, as the edges are canonical
 
     def adjacent(a, b):
         query = np.minimum(a, b) * n + np.maximum(a, b)
@@ -360,7 +360,8 @@ def check_underpass(g: Graph, trials: int, seed: int = 0) -> UnderpassResult:
     while tested < trials and attempts < max_attempts:
         k = min(trials - tested, max_attempts - attempts)
         attempts += k
-        u, w = rows[rng.integers(g.m, size=k)].T
+        pick = rng.integers(g.m, size=k)
+        u, w = small[pick], large[pick]
         fwd = (phi[w] - phi[u]) % TWO_PI
         minor = fwd <= math.pi
         arc_lo = np.where(minor, phi[u], phi[w])

@@ -48,11 +48,12 @@ class UsageError(Exception):
 
 
 def _one_file(first: str, second: str) -> bool:
-    """Whether two paths name one regular file, or one path that does not
-    exist yet; a device such as /dev/null may be named twice."""
-    path = os.path.realpath(first)
-    regular = os.path.isfile(path) or not os.path.exists(path)
-    return regular and path == os.path.realpath(second)
+    """Whether two paths name one regular file, hard links included, or one
+    path that does not exist yet; a device such as /dev/null may be named
+    twice."""
+    if os.path.isfile(first):
+        return os.path.exists(second) and os.path.samefile(first, second)
+    return not os.path.exists(first) and os.path.realpath(first) == os.path.realpath(second)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,10 +156,10 @@ def _cmd_analyze(args) -> int:
             return parse_edges(opened.enter_context(open(args.edges, "r", encoding="utf-8")))
 
         parsed, ps = fork_call(read_points, parse_edge_file, "coordinate reader")
-        rows = check_edges(parsed, len(ps))
+        edges = check_edges(parsed, len(ps))
     del parsed  # the parsed columns go before the graph is built
-    g = Graph.from_edge_array(ps, *rows.T)
-    del rows
+    g = Graph.from_edge_array(ps, *edges)
+    del edges
     report = build_report(g, inner_c=args.inner_c)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

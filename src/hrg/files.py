@@ -144,17 +144,18 @@ def read_coords(stream: TextIO) -> PointSet:
 
 
 def write_edges(stream: TextIO, g: Graph) -> None:
-    """Write the canonical rows of :meth:`Graph.edge_rows`, sorted, derived
-    and formatted per block of nodes: a block starts at the last node
-    boundary at or below each multiple of ``WRITE_BLOCK`` half-edges, so it
-    holds at most ``WRITE_BLOCK`` rows beyond those of its first node.
-    A block's ``%d\\t%d\\n`` rows are formatted as one character matrix
-    (:func:`_int_cells`); no row goes through ``%``."""
+    """Write the canonical edges of :meth:`Graph.edges`, sorted, one
+    ``<min id>\\t<max id>`` row each, derived and formatted per block of
+    nodes: a block starts at the last node boundary at or below each
+    multiple of ``WRITE_BLOCK`` half-edges, so it holds at most
+    ``WRITE_BLOCK`` rows beyond those of its first node. A block's
+    ``%d\\t%d\\n`` rows are formatted from its two id arrays as one
+    character matrix (:func:`_int_cells`); no row goes through ``%``."""
     ends = np.cumsum(g.degrees)
     cuts = np.searchsorted(ends, range(0, 2 * g.m, WRITE_BLOCK), side="right").tolist()
     for lo, hi in zip(cuts, cuts[1:] + [g.n]):
-        block = g.edge_rows(lo, hi)
-        stream.write(_text(_join_fields(_int_cells(block[:, 0]), _int_cells(block[:, 1])), {}))
+        small, large = g.edges(lo, hi)
+        stream.write(_text(_join_fields(_int_cells(small), _int_cells(large)), {}))
 
 
 # Exact doubles 10**0 .. 10**22, and Dekker's splitting constant 2**27 + 1
@@ -291,12 +292,13 @@ def _text(cells: np.ndarray, rows: dict[int, str]) -> str:
     return "".join(pieces)
 
 
-def read_edges(stream: TextIO, point_count: int) -> np.ndarray:
+def read_edges(stream: TextIO, point_count: int) -> tuple[np.ndarray, np.ndarray]:
     """Parse and validate an edge list against a known point count.
 
     Rejects references to missing ids, self-loops, and duplicate edges;
-    the error names the first offending line. Rows come back in file order
-    as (min id, max id).
+    the error names the first offending line. The edges come back in file
+    order as two int64 arrays, (min ids, max ids), which
+    :meth:`Graph.from_edge_array` takes as they are.
     """
     return check_edges(parse_edges(stream), point_count)
 
@@ -310,9 +312,9 @@ def parse_edges(stream: TextIO) -> tuple:
         return _load_rows(stream, _EDGE_ROWS)
 
 
-def check_edges(parsed: tuple, point_count: int) -> np.ndarray:
+def check_edges(parsed: tuple, point_count: int) -> tuple[np.ndarray, np.ndarray]:
     """The second step of :func:`read_edges`: its rules, on the rows of
-    :func:`parse_edges`."""
+    :func:`parse_edges`; returns what :func:`read_edges` returns."""
     (a, b), refusal, line_of = parsed
     a_missing, b_missing = ((ids < 0) | (ids >= point_count) for ids in (a, b))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -336,7 +338,8 @@ def check_edges(parsed: tuple, point_count: int) -> np.ndarray:
         raise DataFormatError(message, line_of(i))
     if refusal is not None:
         raise refusal
-    return np.column_stack((lo, hi)).astype(np.int64, copy=False)
+    # the fallback parser gives object columns, e.g. for ``1_0``
+    return lo.astype(np.int64, copy=False), hi.astype(np.int64, copy=False)
 
 
 @contextlib.contextmanager

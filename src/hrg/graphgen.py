@@ -14,8 +14,9 @@ the identical connection expression, so their edge sets agree exactly,
 including ties at the threshold.
 
 ``Graph.from_edge_array`` orders the CSR with one sort. The CSR is the only
-stored adjacency: ``Graph.edge_rows`` derives the canonical edge rows from
-it. Only this module reads the CSR, other modules call ``Graph.neighbors``.
+stored adjacency: ``Graph.edges`` derives the canonical edges from it as two
+id arrays, the form ``Graph.from_edge_array`` takes. Only this module reads
+the CSR, other modules call ``Graph.neighbors``.
 The array helpers ``concatenated_ranges``, ``arc_ranges`` and ``angle_order``
 live here too.
 The module runs on numpy alone.
@@ -96,7 +97,7 @@ class Graph:
 
     ``indptr``/``indices`` form a CSR adjacency with each node's neighbor
     list sorted, each edge stored once from either end. It is the only
-    stored adjacency; :meth:`edge_rows` derives the canonical edge rows.
+    stored adjacency; :meth:`edges` derives the canonical edges.
     """
 
     pointset: PointSet
@@ -122,15 +123,16 @@ class Graph:
         starts = self.indptr[nodes]
         return self.indices[concatenated_ranges(starts, self.indptr[nodes + 1] - starts)]
 
-    def edge_rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Canonical (min id, max id) rows, sorted by that pair, of the edges
-        whose smaller end lies in nodes ``[lo, hi)``: the ``src < dst`` half
-        of the CSR's order. Consecutive node ranges give consecutive rows."""
+    def edges(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The (smaller ids, larger ids) int64 arrays, sorted by that pair, of
+        the edges whose smaller end lies in nodes ``[lo, hi)``: the
+        ``src < dst`` half of the CSR's order. Consecutive node ranges give
+        consecutive edges."""
         hi = self.n if hi is None else hi
         dst = self.indices[self.indptr[lo] : self.indptr[hi]]
         src = np.repeat(np.arange(lo, hi, dtype=np.int64), np.diff(self.indptr[lo : hi + 1]))
         forward = src < dst
-        return np.column_stack((src.compress(forward), dst.compress(forward)))
+        return src.compress(forward), dst.compress(forward)
 
     @classmethod
     def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":

@@ -439,7 +439,7 @@ class TestUnderpass:
         # v at the smallest radius; the edge {u, w} is the only one with v between
         radii, angles = np.array([1.0, 0.2, 1.1]), np.array(self.ANGLES)
         g = build_banded(PointSet(ModelParams(3, 0.75, 0.0), radii, angles, MODE_FIXED, 0))
-        assert g.edge_rows().tolist() == [[0, 1], [0, 2], [1, 2]], "test setup: a triangle"
+        assert list(zip(*g.edges())) == [(0, 1), (0, 2), (1, 2)], "test setup: a triangle"
         result = check_underpass(g, 200, seed=1)
         assert result.tested == 200 and result.violations == 0
 
@@ -487,6 +487,17 @@ class TestUnderpass:
         assert g.m == 2404
         assert check_underpass(g, trials, seed=seed) == expected
 
+    @pytest.mark.parametrize(
+        "n, trials, seed, expected",
+        [(2048, 5000, 1, UnderpassResult(0, 5000, 9692)),
+         (2**14, 20_000, 2, UnderpassResult(0, 20_000, 36_906))],
+    )
+    def test_draw_order_keeps_the_recorded_results(self, n, trials, seed, expected):
+        # each round draws its edges with one rng.integers(m, size=k), then
+        # one node per edge; results recorded on sampled graphs
+        g = build_banded(sample_fixed(ModelParams(n, 0.75, 0.0), seed))
+        assert check_underpass(g, trials, seed=seed) == expected
+
     def test_deterministic_per_seed(self):
         g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 29))
         assert check_underpass(g, 5000, seed=4) == check_underpass(g, 5000, seed=4)
@@ -520,7 +531,7 @@ class TestCoreClique:
         drop = (int(core[0]), int(core[1]))
         kept = [
             (int(a), int(b))
-            for a, b in g.edge_rows()
+            for a, b in zip(*g.edges())
             if (int(a), int(b)) != drop
         ]
         broken = manual_graph(ps.params, ps.r, ps.phi, kept)

@@ -111,7 +111,7 @@ class TestGenerate:
         with open(edges) as fh:
             file_edges = read_edges(fh, len(ps))
         rebuilt = build_banded(ps)
-        assert np.array_equal(rebuilt.edge_rows(), file_edges)
+        assert np.array_equal(rebuilt.edges(), file_edges)
         assert np.array_equal(ps.r, sample_fixed(ModelParams(10, 0.75, 0.0), 7).r)
 
     def test_single_node(self, tmp_path):
@@ -412,7 +412,7 @@ class TestAnalyze:
             ps_back = read_coords(fh)
         assert np.array_equal(ps.r, ps_back.r)
         assert np.array_equal(ps.phi, ps_back.phi)
-        assert np.array_equal(build_banded(ps_back).edge_rows(), g.edge_rows())
+        assert np.array_equal(build_banded(ps_back).edges(), g.edges())
 
     # Error order through the fork: a coordinate file's error comes first,
     # then the model's, then the edge file's, as in a serial read.
@@ -889,7 +889,8 @@ QUICK_SEED_123 = [
 
 class TestUsageErrors:
     # each usage error ends with exit 2 and one stderr line; {dir} is the
-    # test's directory, whose coords.tsv and edges.tsv model alpha = 1.5
+    # test's directory, whose coords.tsv and edges.tsv model alpha = 1.5, and
+    # whose coords_link.json and list_link.json are hard links
     @pytest.mark.parametrize(
         "argv, line",
         [
@@ -904,11 +905,17 @@ class TestUsageErrors:
             (["generate", "--n", "10", "--out-coords", "{dir}/x.tsv",
               "--out-edges", "{dir}/./x.tsv"],
              "hrg generate: --out-coords and --out-edges name the same file"),
+            (["generate", "--n", "10", "--out-coords", "{dir}/coords.tsv",
+              "--out-edges", "{dir}/coords_link.json"],
+             "hrg generate: --out-coords and --out-edges name the same file"),
             (["analyze", "--coords", "{dir}/none.tsv", "--edges", "{dir}/none.tsv",
               "--inner-c", "nan"],
              "hrg analyze: --inner-c must be finite, got nan"),
             (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv",
               "--report", "{dir}/./coords.tsv"],
+             "hrg analyze: --report names the same file as --coords or --edges"),
+            (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv",
+              "--report", "{dir}/coords_link.json"],
              "hrg analyze: --report names the same file as --coords or --edges"),
             (["analyze", "--coords", "{dir}/coords.tsv", "--edges", "{dir}/edges.tsv"],
              "hrg analyze: inner band needs alpha < 1, got alpha=1.5"),
@@ -916,18 +923,23 @@ class TestUsageErrors:
              "hrg sweep: bad config: sweep config must be a JSON object"),
             (["sweep", "--config", "{dir}/list.json", "--out", "{dir}/list.json"],
              "hrg sweep: --out names the same file as --config"),
+            (["sweep", "--config", "{dir}/list.json", "--out", "{dir}/list_link.json"],
+             "hrg sweep: --out names the same file as --config"),
             (["verify", "--coords", "{dir}/coords.tsv"],
              "hrg verify: --coords and --edges must be given together"),
             (["verify", "--quick", "--seed", "-1"],
              "hrg verify: seed must be non-negative, got -1"),
         ],
-        ids=["generate-seed", "generate-model", "generate-nodes", "generate-one-file", "analyze-inner-c",
-             "analyze-report-coords", "analyze-alpha", "sweep-config", "sweep-out-config",
-             "verify-flags", "verify-seed"],
+        ids=["generate-seed", "generate-model", "generate-nodes", "generate-one-file",
+             "generate-hard-link", "analyze-inner-c", "analyze-report-coords",
+             "analyze-report-hard-link", "analyze-alpha", "sweep-config", "sweep-out-config",
+             "sweep-out-hard-link", "verify-flags", "verify-seed"],
     )
     def test_exit_code_and_stderr_line(self, tmp_path, capsys, argv, line):
         write_fixture(tmp_path, ModelParams(3, 1.5, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [(0, 1)])
         (tmp_path / "list.json").write_text("[1, 2]")
+        os.link(tmp_path / "coords.tsv", tmp_path / "coords_link.json")
+        os.link(tmp_path / "list.json", tmp_path / "list_link.json")
         files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 2
         assert capsys.readouterr() == ("", line + "\n")

@@ -62,6 +62,9 @@ def test_star_import():
     namespace = {}
     exec("from hrg import *", namespace)
     assert set(hrg.__all__) <= set(namespace)
+    # the package states its exports once: those of the four layers it re-exports
+    layers = (hrg.analysis, hrg.geometry, hrg.graphgen, hrg.sampling)
+    assert hrg.__all__ == [name for layer in layers for name in layer.__all__]
 
 
 def test_tracer_hooks_resolve():
@@ -82,7 +85,7 @@ def test_tracer_hooks_resolve():
 
 def test_csr_layout_stays_in_graphgen():
     # every other module reaches the adjacency through ``Graph`` (neighbors,
-    # degrees, edge_rows), so the CSR layout can change in one place
+    # degrees, edges), so the CSR layout can change in one place
     leaks = [
         path.name
         for path in sorted(PACKAGE.glob("*.py"))

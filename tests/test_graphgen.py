@@ -43,7 +43,7 @@ class TestBuildNaive:
         params = ModelParams(2, 0.75, 0.0)
         ps = manual_pointset(params, [0.1, 0.1], [0.3, 4.0])
         g = build_naive(ps)
-        assert g.edge_rows().tolist() == [[0, 1]]
+        assert list(zip(*g.edges())) == [(0, 1)]
 
     def test_hand_placed_configuration_against_oracle(self):
         params = ModelParams(5, 0.75, 0.0)
@@ -57,7 +57,7 @@ class TestBuildNaive:
             for b in range(a + 1, 5):
                 if mp_distance(radii[a], angles[a], radii[b], angles[b]) <= R:
                     expected.add((a, b))
-        assert {tuple(e) for e in g.edge_rows().tolist()} == expected
+        assert set(zip(*g.edges())) == expected
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_row_blocks_keep_the_edges(self, monkeypatch, rows):
@@ -65,9 +65,9 @@ class TestBuildNaive:
         if rows is not None:
             monkeypatch.setattr(graphgen, "ARRAY_BLOCK", rows * len(ps))
         r, phi = ps.r, ps.phi
-        whole = np.argwhere(np.triu(edge_mask(r[:, None], phi[:, None], r, phi, ps.params.R), 1))
-        assert np.array_equal(build_naive(ps).edge_rows(), whole)
-        assert len(whole) > 300
+        whole = np.nonzero(np.triu(edge_mask(r[:, None], phi[:, None], r, phi, ps.params.R), 1))
+        assert np.array_equal(build_naive(ps).edges(), whole)
+        assert whole[0].size > 300
 
     def test_tests_only_the_upper_triangle(self, monkeypatch):
         ps = sample_fixed(ModelParams(300, 0.75, 0.0), 4)
@@ -101,13 +101,13 @@ class TestBandedEquivalence:
 
     def test_matches_naive_on_poisson_mode(self):
         ps = sample_poisson(ModelParams(300, 0.75, 0.0), 4)
-        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+        assert np.array_equal(build_banded(ps).edges(), build_naive(ps).edges())
 
     def test_matches_naive_off_regime(self):
         # window bound must stay sound for any positive alpha
         for alpha in (0.55, 0.95, 1.5):
             ps = sample_fixed(ModelParams(400, alpha, 0.0), 7)
-            assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+            assert np.array_equal(build_banded(ps).edges(), build_naive(ps).edges())
 
     def test_empty_pointset(self):
         params = ModelParams(4, 0.75, 0.0)
@@ -125,7 +125,7 @@ class TestBandedEquivalence:
         angles = [0.0, math.pi, np.nextafter(2 * math.pi, 0), math.pi, 0.0, math.pi / 2]
         ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
         assert theta_upper(layer_of_radius(0.5, R), layer_of_radius(0.5, R), R) == math.pi
-        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+        assert np.array_equal(build_banded(ps).edges(), build_naive(ps).edges())
 
     def test_inner_band_larger_than_outer(self):
         # band sizes fall off toward the centre only in expectation: here the
@@ -154,8 +154,8 @@ class TestBandedEquivalence:
         ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
         assert [ids.size for ids in BandIndex.build(ps).ids[2:5]] == [3, 0, 40]
         banded = build_banded(ps)
-        assert np.array_equal(banded.edge_rows(), build_naive(ps).edge_rows())
-        assert np.count_nonzero(banded.edge_rows()[:, 0] < 3) > 0
+        assert np.array_equal(banded.edges(), build_naive(ps).edges())
+        assert np.count_nonzero(banded.edges()[0] < 3) > 0
 
     @pytest.mark.parametrize(
         "n, C, bands", [(3, 38.82 - 2.0 * math.log(3), (1, 2)), (4096, 24.95, (1, 1))]
@@ -173,8 +173,8 @@ class TestBandedEquivalence:
             lo, hi = (mid, hi) if edge_mask(r, 0.0, y, mid, R) else (lo, mid)
         ps = manual_pointset(params, [r, y], [0.0, lo], mode=MODE_POISSON)
         assert [layer_of_radius(radius, R) for radius in (r, y)] == list(bands)
-        assert build_naive(ps).edge_rows().tolist() == [[0, 1]]
-        assert build_banded(ps).edge_rows().tolist() == [[0, 1]]
+        assert list(zip(*build_naive(ps).edges())) == [(0, 1)]
+        assert list(zip(*build_banded(ps).edges())) == [(0, 1)]
 
     def test_matches_naive_at_the_largest_radius(self):
         # coincident and nearly coincident rim nodes, one node near the
@@ -186,9 +186,9 @@ class TestBandedEquivalence:
         ps = manual_pointset(params, radii, angles, mode=MODE_POISSON)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            naive, banded = build_naive(ps).edge_rows(), build_banded(ps).edge_rows()
-        expected = [[0, 1], [0, 2], [0, 4], [1, 2], [1, 4], [2, 4], [3, 4], [4, 5]]
-        assert naive.tolist() == expected
+            naive, banded = build_naive(ps).edges(), build_banded(ps).edges()
+        expected = [(0, 1), (0, 2), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4), (4, 5)]
+        assert list(zip(*naive)) == expected
         assert np.array_equal(banded, naive)
         assert band_count(R) <= np.iinfo(np.int16).max  # BandIndex's band labels
 
@@ -196,7 +196,7 @@ class TestBandedEquivalence:
     @pytest.mark.parametrize("C", [-1.0, 2.0])
     def test_matches_naive_across_alpha(self, alpha, C):
         ps = sample_fixed(ModelParams(2000, alpha, C), 32)
-        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+        assert np.array_equal(build_banded(ps).edges(), build_naive(ps).edges())
 
 
 class TestAngleOrder:
@@ -270,7 +270,7 @@ class TestBandIndexOrder:
         outer = ps.phi[band_of == 1]
         assert np.unique(outer).size < outer.size  # ties inside one band
         assert np.intersect1d(outer, ps.phi[band_of == 2]).size > 0  # and across bands
-        assert np.array_equal(build_banded(ps).edge_rows(), build_naive(ps).edge_rows())
+        assert np.array_equal(build_banded(ps).edges(), build_naive(ps).edges())
 
 
 class TestCandidateCount:
@@ -375,9 +375,9 @@ class TestGraphStructure:
         for u in range(g.n):
             row = g.neighbors(u)
             assert bool(np.all(np.diff(row) > 0))
-        rows = g.edge_rows()
-        assert bool(np.all(rows[:, 0] < rows[:, 1]))
-        order = np.lexsort((rows[:, 1], rows[:, 0]))
+        small, large = g.edges()
+        assert bool(np.all(small < large))
+        order = np.lexsort((large, small))
         assert bool(np.all(order == np.arange(g.m)))
 
     def test_neighbors_concatenates_csr_slices(self):
@@ -399,7 +399,7 @@ class TestGraphStructure:
     def test_every_edge_satisfies_indicator(self):
         ps = sample_fixed(ModelParams(300, 0.75, 0.0), 14)
         g = build_banded(ps)
-        a, b = g.edge_rows().T
+        a, b = g.edges()
         assert edge_mask(ps.r[a], ps.phi[a], ps.r[b], ps.phi[b], ps.params.R).all()
 
 
@@ -409,13 +409,13 @@ def lexsort_csr(n, us, vs):
     lo = np.minimum(us, vs)
     hi = np.maximum(us, vs)
     order = np.lexsort((hi, lo))
-    edges = np.column_stack((lo[order], hi[order]))
-    src = np.concatenate((edges[:, 0], edges[:, 1]))
-    dst = np.concatenate((edges[:, 1], edges[:, 0]))
+    small, large = lo[order], hi[order]
+    src = np.concatenate((small, large))
+    dst = np.concatenate((large, small))
     indices = dst[np.lexsort((dst, src))]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return edges, indices, indptr
+    return small, large, indices, indptr
 
 
 class TestCsrBuild:
@@ -432,7 +432,7 @@ class TestCsrBuild:
             swap = rng.random(m) < 0.5
             us, vs = np.where(swap, vs, us), np.where(swap, us, vs)
             g = Graph.from_edge_array(ps, us, vs)
-            built = (g.edge_rows(), g.indices, g.indptr)
+            built = (*g.edges(), g.indices, g.indptr)
             for got, want in zip(built, lexsort_csr(n, us.astype(np.int64), vs.astype(np.int64))):
                 assert got.dtype == want.dtype == np.int64
                 assert got.shape == want.shape and np.array_equal(got, want)
@@ -443,8 +443,7 @@ class TestCsrBuild:
         # the CSR is the only adjacency a graph keeps, and the build's peak
         # beside its inputs stays within 2.5 arrays of 2m int64 half-edges
         ps = sample_fixed(ModelParams(20_000, 0.75, 0.0), 1)
-        rows = build_banded(ps).edge_rows()
-        us, vs = rows[:, 0].copy(), rows[:, 1].copy()
+        us, vs = build_banded(ps).edges()
         half_edges = 16 * us.size
         assert us.size == 58_008
         tracemalloc.start()
@@ -488,17 +487,17 @@ class TestBandPassMemory:
 class TestEdgeRows:
     def test_node_ranges_concatenate_to_all_rows(self):
         g = build_banded(sample_fixed(ModelParams(2000, 0.75, 0.0), 19))
-        rows = g.edge_rows()
-        assert rows.shape == (g.m, 2)
+        small, large = g.edges()
+        assert small.shape == large.shape == (g.m,)
         hub = int(np.argmax(g.degrees))
         rng = np.random.default_rng(20)
         splits = [[], [hub, hub + 1], list(range(0, g.n, 97)), [g.n // 2, g.n // 2]]
         splits.append(sorted(rng.integers(0, g.n + 1, 40).tolist()))
         for cuts in splits:
             bounds = [0, *cuts, g.n]
-            parts = [g.edge_rows(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-            assert np.array_equal(np.concatenate(parts), rows)
-        assert np.array_equal(g.edge_rows(hub), rows[rows[:, 0] >= hub])
+            parts = [g.edges(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            assert np.array_equal([np.concatenate(column) for column in zip(*parts)], (small, large))
+        assert np.array_equal(g.edges(hub), (small[small >= hub], large[small >= hub]))
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_no_edges_give_empty_int64_rows(self, n):
@@ -506,8 +505,8 @@ class TestEdgeRows:
         ps = manual_pointset(params, np.zeros(n), np.zeros(n), mode=MODE_POISSON)
         g = Graph.from_edge_array(ps, [], [])
         assert g.m == 0
-        for rows in (g.edge_rows(), g.edge_rows(0, n), g.edge_rows(n, n)):
-            assert rows.shape == (0, 2) and rows.dtype == np.int64
+        for edges in (g.edges(), g.edges(0, n), g.edges(n, n)):
+            assert all(ids.shape == (0,) and ids.dtype == np.int64 for ids in edges)
 
 
 class TestMonotonicity:
@@ -516,7 +515,8 @@ class TestMonotonicity:
         g = build_banded(ps)
         R = ps.params.R
         rng = np.random.default_rng(16)
-        a, b = g.edge_rows()[rng.integers(0, g.m, 10_000)].T
+        pick = rng.integers(0, g.m, 10_000)
+        a, b = (ids[pick] for ids in g.edges())
         shrunk_a = ps.r[a] * rng.uniform(0.0, 1.0, a.size)
         assert edge_mask(shrunk_a, ps.phi[a], ps.r[b], ps.phi[b], R).all()
         shrunk_b = ps.r[b] * rng.uniform(0.0, 1.0, b.size)
