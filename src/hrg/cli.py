@@ -109,7 +109,10 @@ def _cmd_generate(args) -> int:
     if _one_file(args.out_coords, args.out_edges):
         raise UsageError("--out-coords and --out-edges name the same file")
     sampler = sample_poisson if args.poisson else sample_fixed
-    ps = sampler(params, args.seed)
+    try:
+        ps = sampler(params, args.seed)
+    except ValueError as exc:  # a Poisson count above the node limit
+        raise UsageError(str(exc)) from exc
     # The coordinate file depends only on the sample: one forked child writes
     # it while this process builds the graph and writes the edge file.
     with open(args.out_coords, "w", encoding="utf-8") as coords_fh:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import TWO_PI, ModelParams, radial_icdf
+from .geometry import MAX_NODES, TWO_PI, ModelParams, radial_icdf
 
 MODE_FIXED = "fixed"
 MODE_POISSON = "poisson"
@@ -89,9 +89,12 @@ def _draw_points(params: ModelParams, count: int, rng: np.random.Generator):
 
 def _sample(params: ModelParams, seed: int, mode: str) -> PointSet:
     """One seeded point set: n points, or in Poisson mode as many as the
-    generator's first draw."""
+    generator's first draw. A draw above ``MAX_NODES`` raises ``ValueError``
+    before any point is drawn."""
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(params.n)) if mode == MODE_POISSON else params.n
+    if count > MAX_NODES:
+        raise ValueError(f"Poisson count {count} is above the node limit 2**31 - 1")
     return PointSet(params, *_draw_points(params, count, rng), mode, int(seed))
 
 
@@ -102,7 +105,8 @@ def sample_fixed(params: ModelParams, seed: int) -> PointSet:
 
 def sample_poisson(params: ModelParams, seed: int) -> PointSet:
     """Poisson variant: the point count is Poisson with mean n, then each
-    point is drawn exactly as in :func:`sample_fixed`."""
+    point is drawn exactly as in :func:`sample_fixed`. A count above
+    ``MAX_NODES`` raises ``ValueError``."""
     return _sample(params, seed, MODE_POISSON)
 
 

@@ -317,6 +317,26 @@ class TestApspOracle:
                 nodes = sorted(component)
                 assert eccentricities[nodes].max() == nx.diameter(reference.subgraph(component))
 
+    def test_against_csgraph(self):
+        # scipy's all-pairs shortest paths; C in [0, 3] gives model graphs
+        # from one giant to many components
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        rng = np.random.default_rng(43)
+        graphs = [disjoint_union_graph(), manual_graph(ModelParams(3, 0.75, 0.0), [0.1] * 3,
+                                                       [0.0, 1.0, 2.0], [])]
+        for _ in range(20):
+            params = ModelParams(int(rng.integers(10, 301)), 0.75, float(rng.uniform(0.0, 3.0)))
+            graphs.append(build_banded(sample_fixed(params, int(rng.integers(2**63)))))
+        for g in graphs:
+            upper = coo_matrix((np.ones(g.m), g.edges()), shape=(g.n, g.n))
+            dist = shortest_path(upper, unweighted=True, directed=False)
+            dist[np.isinf(dist)] = 0
+            eccentricities = apsp_eccentricities(g)
+            assert eccentricities.dtype == np.int64
+            assert np.array_equal(eccentricities, dist.max(axis=1))
+
 
 class TestDegreeStats:
     def test_regular_graph_unreliable(self):

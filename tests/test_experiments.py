@@ -40,7 +40,7 @@ from hrg.files import (
 )
 from hrg.geometry import MAX_NODES, ModelParams, theta_exact
 from hrg.graphgen import build_banded
-from hrg import verify
+from hrg import sampling, verify
 from hrg.sampling import sample_fixed, sample_poisson
 from hrg.verify import run_verify
 
@@ -113,6 +113,20 @@ class TestGenerate:
         rebuilt = build_banded(ps)
         assert np.array_equal(rebuilt.edges(), file_edges)
         assert np.array_equal(ps.r, sample_fixed(ModelParams(10, 0.75, 0.0), 7).r)
+
+    def test_poisson_count_above_the_node_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        # seed 0's count at mean 2**31 - 1 is 2,147,501,901: refused before
+        # any point is drawn or any file opened
+        def no_points(*args):
+            raise AssertionError("points drawn")
+
+        monkeypatch.setattr(sampling, "_draw_points", no_points)
+        argv = ["generate", "--n", str(MAX_NODES), "--poisson", "--seed", "0",
+                "--out-coords", str(tmp_path / "c.tsv"), "--out-edges", str(tmp_path / "e.tsv")]
+        assert run_cli(argv) == 2
+        line = "hrg generate: Poisson count 2147501901 is above the node limit 2**31 - 1\n"
+        assert capsys.readouterr() == ("", line)
+        assert not list(tmp_path.iterdir())
 
     def test_single_node(self, tmp_path):
         coords = tmp_path / "c.tsv"

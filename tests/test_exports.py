@@ -1,9 +1,8 @@
 """Every exported name of the package and its modules resolves, a submodule
 exports only names it defines itself, and every function the benchmark's
-tracer wraps resolves. scipy loads only inside the
-``hrg verify`` functions that call it, so ``hrg generate``, ``hrg analyze``
-and the sweep run without it. ``geometry`` imports no other module of the
-package."""
+tracer wraps resolves. No module of the package imports scipy, so every
+command runs without it; only the tests use it, as an oracle. ``geometry``
+imports no other module of the package."""
 
 import ast
 import importlib
@@ -95,60 +94,29 @@ def test_csr_layout_stays_in_graphgen():
     assert not leaks
 
 
-def test_oracles_stay_in_verify():
-    # the all-pairs oracle and the naive builder serve only the checks, so
-    # no hot path can come to depend on them; the word is split so that
-    # this file does not match itself
-    apsp = "shortest_" + "path"
-    tests = PACKAGE.parent.parent / "tests"
-    holders = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py")) + sorted(tests.glob("*.py"))
-        if apsp in path.read_text(encoding="utf-8")
-    ]
-    assert holders == ["verify.py"]
-    naive_callers = [
-        path.name
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "verify.py"
-        and re.search(r"(?<!def )build_naive\(", path.read_text(encoding="utf-8"))
-    ]
-    assert not naive_callers
-    conftest = (tests / "conftest.py").read_text(encoding="utf-8")
-    assert "apsp" not in conftest and "csgraph" not in conftest
-
-
-def scipy_imports_outside_functions(source: str) -> list[int]:
-    """Line numbers of the ``import scipy...``/``from scipy...`` statements
-    that run when the module is imported: those outside every function."""
-    tree = ast.parse(source)
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    deferred = {
-        id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, functions)
-        for node in ast.walk(func)
-    }
+def scipy_imports(source: str) -> list[int]:
+    """Line numbers of the ``import scipy...``/``from scipy...`` statements,
+    at module level or inside a function."""
     return [
         node.lineno
-        for node in ast.walk(tree)
-        if id(node) not in deferred
-        and (
-            isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
-        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
     ]
 
 
-def test_scipy_imports_stay_inside_functions():
-    assert scipy_imports_outside_functions("import scipy.stats\ndef f():\n    import scipy\n") == [1]
-    assert scipy_imports_outside_functions("if True:\n    from scipy import stats\n") == [2]
-    eager = {
-        path.name: lines
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (lines := scipy_imports_outside_functions(path.read_text(encoding="utf-8")))
+def test_oracles_stay_in_verify():
+    # the all-pairs oracle and the naive builder serve only the checks, so
+    # no hot path can come to depend on them; scipy is only the tests' oracle
+    sources = {
+        path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert not eager
+    calls = re.compile(r"(?<!def )\b(apsp_eccentricities|build_naive)\(")
+    assert calls.search("x = build_naive(ps)") and not calls.search("def build_naive(ps):")
+    assert not [name for name, text in sources.items() if name != "verify.py" and calls.search(text)]
+    assert scipy_imports("import scipy.stats\ndef f():\n    from scipy import sparse\n") == [1, 3]
+    assert scipy_imports("import numpy\nfrom .verify import x\n") == []
+    assert not {name: lines for name, text in sources.items() if (lines := scipy_imports(text))}
 
 
 def package_imports(source: str) -> list[int]:
@@ -228,24 +196,22 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
     assert json.loads(out) == [[0, 0, 4], []]
 
 
-def test_verify_imports_scipy_before_it_forks():
-    # a child that imported it itself would pay the import on every call; the
-    # child calls no csgraph routine (``scipy.stats`` loads csgraph anyway)
+def test_verify_runs_without_scipy():
+    # a meta-path finder refuses every scipy module, so any import of it,
+    # in the parent or in the forked child, ends the suite with an ImportError
     script = """
-import json, sys
-from hrg import verify
+import contextlib, io, json, sys
 
-class Stop(Exception):
-    pass
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
 
-def probe(child, parent, name):
-    print(json.dumps([m for m in ("scipy.stats",) if m in sys.modules]))
-    raise Stop
-
-verify.fork_call = probe
-try:
-    verify.run_verify(quick=True, seed=1)
-except Stop:
-    pass
+sys.meta_path.insert(0, NoScipy())
+import hrg.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = hrg.cli.main(["verify", "--quick", "--seed", "1"])
+print(json.dumps([code, out.getvalue().splitlines()[-1]]))
 """
-    assert json.loads(run_fresh(script)) == ["scipy.stats"]
+    assert json.loads(run_fresh(script)) == [0, "18/18 checks passed"]

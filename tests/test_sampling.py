@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hrg.geometry import TWO_PI, ModelParams, mu_ball_origin_exact
+from hrg import sampling
+from hrg.geometry import MAX_NODES, TWO_PI, ModelParams, mu_ball_origin_exact
 from hrg.sampling import (
     MODE_FIXED,
     MODE_POISSON,
@@ -16,7 +17,14 @@ from hrg.sampling import (
     sample_fixed,
     sample_poisson,
 )
-from hrg.verify import _two_sided_p, angle_chisquare, fixed_vs_poisson_ks, radial_ks
+from hrg.verify import (
+    _chi2_sf,
+    _kolmogorov_sf,
+    _two_sided_p,
+    angle_chisquare,
+    fixed_vs_poisson_ks,
+    radial_ks,
+)
 
 
 class TestRadialIcdf:
@@ -70,6 +78,17 @@ class TestSamplePoisson:
         # the count is numpy's Poisson draw at every mean, small ones too
         small = sample_poisson(ModelParams(5, 0.75, 0.0), 1)
         assert len(small) == np.random.default_rng(1).poisson(5)
+
+    def test_count_above_the_node_limit_draws_no_point(self, monkeypatch):
+        # seed 0's first draw at mean 2**31 - 1 is 2,147,501,901; drawing that
+        # many points would take 34 GB
+        def no_points(*args):
+            raise AssertionError("points drawn")
+
+        monkeypatch.setattr(sampling, "_draw_points", no_points)
+        assert np.random.default_rng(0).poisson(MAX_NODES) == 2_147_501_901
+        with pytest.raises(ValueError, match=r"^Poisson count 2147501901 is above the node limit"):
+            sample_poisson(ModelParams(MAX_NODES, 0.75, 0.0), 0)
 
     def test_deterministic_per_seed(self):
         params = ModelParams(100, 0.75, 0.0)
@@ -205,3 +224,72 @@ def test_two_sided_p_is_the_normal_tail(z):
     from scipy import stats
 
     assert _two_sided_p(z) == pytest.approx(2.0 * stats.norm.sf(abs(z)), rel=1e-13, abs=0.0)
+
+
+class TestStatisticsAgainstScipy:
+    """The numpy statistics of ``hrg verify`` against scipy's: D and the
+    chi-square sum bit for bit, the p-values to their closed forms'
+    precision."""
+
+    @pytest.mark.parametrize("seed, alpha", [(0, 0.75), (3, 0.75), (2, 0.77), (3, 0.77)])
+    def test_radial_ks(self, seed, alpha):
+        # radii drawn at alpha 0.75 and tested at 0.77 give p of 1e-2 and
+        # 3e-5; at 0.75 seed 0's D is D- and seed 3's D+
+        from scipy import stats
+
+        r = sample_fixed(ModelParams(25_000, 0.75, 0.0), seed).r
+        ps = PointSet(ModelParams(25_000, alpha, 0.0), r, np.zeros_like(r), MODE_FIXED, seed)
+        ours = radial_ks(ps)
+        ref = stats.kstest(ps.r, lambda x: np.asarray(mu_ball_origin_exact(x, ps.params)))
+        assert ours.statistic == ref.statistic
+        assert ours.pvalue == pytest.approx(ref.pvalue, rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fixed_vs_poisson_ks(self, seed):
+        # both samples above 10,000 radii, where scipy takes the asymptotic
+        # form; seed 0's D is the larger positive gap, seed 1's the negative
+        from scipy import stats
+
+        ours, size = fixed_vs_poisson_ks(seed, 25_000)
+        params = ModelParams(25_000, 0.75, 0.0)
+        poisson = sample_poisson(params, seed + 1)
+        ref = stats.ks_2samp(sample_fixed(params, seed).r, poisson.r)
+        assert size == len(poisson)
+        assert ours.statistic == ref.statistic
+        assert ours.pvalue == pytest.approx(ref.pvalue, rel=1e-5, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_angle_chisquare(self, seed):
+        from scipy import stats
+
+        ps = sample_fixed(ModelParams(25_000, 0.75, 0.0), seed)
+        ours = angle_chisquare(ps)
+        bins = np.minimum((ps.phi / TWO_PI * 100).astype(int), 99)
+        ref = stats.chisquare(np.bincount(bins, minlength=100))
+        assert ours.statistic == ref.statistic
+        assert ours.pvalue == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+
+    def test_chi2_tail(self):
+        from scipy import stats
+
+        assert _chi2_sf(0.0, 99) == 1.0
+        for x in np.geomspace(1.0, 400.0, 40):
+            assert _chi2_sf(x, 99) == pytest.approx(stats.chi2.sf(x, 99), rel=1e-12, abs=0.0)
+
+    # scipy takes O(n) per call where z = sqrt(n) x >= 1.48 (its exact
+    # one-sided sum), about 1 s at n = 10^6, so that n skips three such z
+    @pytest.mark.parametrize(
+        "n, z",
+        [(n, z) for n in (25_000, 50_000, 100_000) for z in (0.3, 0.8, 1.3, 1.8, 2.3, 2.8, 3.3)]
+        + [(1_000_000, z) for z in (0.3, 0.8, 1.3, 3.3)],
+    )
+    def test_kolmogorov_tail(self, n, z):
+        from scipy import stats
+
+        x = z / math.sqrt(n)
+        assert _kolmogorov_sf(n, x) == pytest.approx(stats.kstwo.sf(x, n), rel=1e-5, abs=0.0)
+
+    def test_kolmogorov_tail_ends(self):
+        assert _kolmogorov_sf(25_000, 0.0) == 1.0
+        assert _kolmogorov_sf(25_000, 1.0) == 0.0
+        assert _kolmogorov_sf(25_000, 0.01 / math.sqrt(25_000)) == 1.0  # the CDF underflows
