@@ -4,15 +4,17 @@ Connected components, exact diameters (iFUB), degree statistics with a
 tail-exponent fit, inner-band diagnostics, sector-run statistics, and
 deterministic geometric consistency checks. All functions take an
 immutable :class:`~hrg.graphgen.Graph` or :class:`~hrg.sampling.PointSet`
-and are safe to run concurrently. One BFS from the core (radius <= R/2)
-labels its component and yields the hops to the inner band and the core's
-record; the module runs on numpy alone.
+and are safe to run concurrently. The components and their diameters
+need the adjacency alone (:func:`component_structure`), so a graph can
+have them before its points are read; one BFS from the core (radius
+<= R/2) yields the hops to the inner band and the core's record. The
+module runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .sampling import PointSet
 
 __all__ = [
     "GraphAnalysis",
+    "ComponentStructure",
     "ComponentReport",
     "DegreeStats",
     "BandDiagnostics",
@@ -29,6 +32,7 @@ __all__ = [
     "UnderpassResult",
     "bfs_distances",
     "connected_components",
+    "component_structure",
     "component_report",
     "exact_diameter",
     "degree_stats",
@@ -66,11 +70,11 @@ def connected_components(g: Graph, reached: np.ndarray) -> np.ndarray:
     """Component label per node: the smallest node id of its component.
 
     ``reached`` masks the nodes of one whole component, or no node; they
-    take its smallest id. ``component_report`` passes the nodes the BFS
-    from a clique core reaches. The rest hook roots to the smallest
-    neighbouring root, then pointer-jump until no label changes, as in
-    FastSV (Zhang, Azad & Hu, SIAM PP 2020). A mask with an edge leaving
-    it raises ``ValueError``: the hooking never reaches its nodes.
+    take its smallest id. ``component_structure`` passes the nodes the BFS
+    from the highest-degree node reaches. The rest hook roots to the
+    smallest neighbouring root, then pointer-jump until no label changes,
+    as in FastSV (Zhang, Azad & Hu, SIAM PP 2020). A mask with an edge
+    leaving it raises ``ValueError``: the hooking never reaches its nodes.
     """
     labels = np.arange(g.n, dtype=np.int64)
     labels[reached] = np.flatnonzero(reached)[:1]
@@ -88,38 +92,44 @@ def connected_components(g: Graph, reached: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _component_diameters(g: Graph, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _group_roots(g: Graph, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The iFUB root of each group of :func:`_component_diameters`: its
+    highest-degree node, the smallest id on ties."""
+    starts = np.cumsum(counts) - counts
+    deg = g.degrees[members]
+    top = deg == np.repeat(np.maximum.reduceat(deg, starts), counts)
+    return members[np.minimum.reduceat(np.where(top, np.arange(members.size), members.size), starts)]
+
+
+def _component_diameters(
+    g: Graph, members: np.ndarray, counts: np.ndarray, level: np.ndarray
+) -> np.ndarray:
     """Exact hop diameters of node groups, by one iFUB (Crescenzi et al.,
     TCS 2013) run on all groups at once.
 
     ``members`` lists the groups one after another, each in ascending node
-    id order, and ``counts`` holds their sizes (two or more). Distinct groups
-    must lie in distinct components: one multi-source BFS with one source
-    per group then gives every group its own single-source distances, and
-    a max-reduce over each group turns them into eccentricities.
+    id order, and ``counts`` holds their sizes (two or more). ``level``
+    holds each member's hops from its group's root (:func:`_group_roots`),
+    -1 where the root does not reach it, which raises ``ValueError``.
+    Distinct groups must lie in distinct components: one multi-source BFS
+    with one source per group then gives every group its own
+    single-source distances, and a max-reduce over each group turns them
+    into eccentricities.
 
-    Each group roots at its highest-degree node (smallest id on ties),
-    starts its lower bound with a double sweep from the root's farthest
-    node, and then takes the other nodes by decreasing root distance. It
-    stops once the lower bound reaches twice the root distance of its next
-    node: every pair left has both ends that close to the root. A group
-    whose root does not reach all of it raises ``ValueError``.
+    Each group starts its lower bound with a double sweep from the root's
+    farthest node, and then takes the other nodes by decreasing root
+    distance. It stops once the lower bound reaches twice the root
+    distance of its next node: every pair left has both ends that close
+    to the root.
     """
+    if np.any(level < 0):
+        raise ValueError("component is not connected")
     starts = np.cumsum(counts) - counts
     group = np.repeat(np.arange(counts.size), counts)
 
-    def distances(sources):
-        return bfs_distances(g, sources)[members]
-
     def eccentricities(sources):
-        return np.maximum.reduceat(distances(sources), starts)
+        return np.maximum.reduceat(bfs_distances(g, sources)[members], starts)
 
-    deg = g.degrees[members]
-    top = deg == np.repeat(np.maximum.reduceat(deg, starts), counts)
-    roots = np.minimum.reduceat(np.where(top, np.arange(members.size), members.size), starts)
-    level = distances(members[roots])
-    if np.any(level < 0):
-        raise ValueError("component is not connected")
     # each group's nodes by decreasing root distance, ties by id; the first
     # is the far end of the double sweep, the last the root. One stable sort
     # of packed (group, distance) keys keeps the ascending ids of a tie.
@@ -145,60 +155,109 @@ def exact_diameter(g: Graph, component) -> int:
         raise ValueError("empty component")
     if comp.size == 1:
         return 0
-    return int(_component_diameters(g, comp, np.array([comp.size]))[0])
+    counts = np.array([comp.size])
+    level = bfs_distances(g, _group_roots(g, comp, counts))[comp]
+    return int(_component_diameters(g, comp, counts, level)[0])
 
 
 @dataclass(frozen=True, eq=False)
-class ComponentReport:
-    """Component structure: sizes in descending order, the giant (largest,
-    ties broken by smallest contained node id), exact diameters, and the
-    core's record. ``core_depth``, the most hops from a giant node to the
-    core, bounds the giant diameter by 2 * core_depth + 1 when the core is a
-    clique; it is ``None`` when the core is empty or outside the giant."""
+class ComponentStructure:
+    """What the adjacency alone gives of the components: labels, sizes in
+    descending order, the giant (largest, ties broken by smallest contained
+    node id) and exact diameters."""
 
     labels: np.ndarray
-    core_hops: np.ndarray  # hops from the core (radius <= R/2), -1 where unreached
     sizes: list[int]
     giant_label: int
     giant_size: int
     second_size: int
     giant_diameter: int
     max_component_diameter: int
+
+
+@dataclass(frozen=True, eq=False)
+class ComponentReport(ComponentStructure):
+    """Component structure plus the core's record. ``core_depth``, the most
+    hops from a giant node to the core, bounds the giant diameter by
+    2 * core_depth + 1 when the core is a clique; it is ``None`` when the
+    core is empty or outside the giant."""
+
+    core_hops: np.ndarray  # hops from the core (radius <= R/2), -1 where unreached
     core_size: int
     core_clique: bool
     core_in_giant: bool
     core_depth: int | None
 
 
-def component_report(g: Graph) -> ComponentReport:
-    core_hops = bfs_distances(g, core_node_ids(g))
-    clique = check_core_clique(g)
-    labels = connected_components(g, (core_hops >= 0) & clique)
+def _structure(g: Graph, core: np.ndarray | None) -> tuple[ComponentStructure, np.ndarray | None]:
+    """:func:`component_structure`, and the hops from the ``core`` nodes
+    when they all lie in the hub's component, as an empty core does: their
+    BFS then runs as one with the BFS from the other components' roots.
+    Else, or for ``core=None``, the hops are None."""
     if g.n == 0:
-        return ComponentReport(labels, core_hops, [], -1, 0, 0, 0, 0, 0, clique, True, None)
+        empty = np.zeros(0, dtype=np.int64)
+        return ComponentStructure(empty, [], -1, 0, 0, 0, 0), None if core is None else empty
+    hub = int(np.argmax(g.degrees))  # the highest degree, the smallest id on ties
+    hub_hops = bfs_distances(g, hub)
+    reached = hub_hops >= 0
+    labels = connected_components(g, reached)
     members = np.argsort(labels, kind="stable")
     uniq, counts = np.unique(labels[members], return_counts=True)
     multi = counts > 1
+    grouped = members[np.repeat(multi, counts)]
+    roots = _group_roots(g, grouped, counts[multi])  # the hub roots its own group
+    merged = core is not None and bool(reached[core].all())
+    others = roots[~reached[roots]]
+    hops = bfs_distances(g, np.concatenate((core, others)) if merged else others)
     diameters = np.zeros(uniq.size, dtype=np.int64)
-    diameters[multi] = _component_diameters(g, members[np.repeat(multi, counts)], counts[multi])
+    level = np.where(reached, hub_hops, hops)[grouped]
+    diameters[multi] = _component_diameters(g, grouped, counts[multi], level)
     order = np.argsort(-counts, kind="stable")  # uniq ascends: ties by smallest label
-    giant_label = int(uniq[order[0]])
-    giant = labels == giant_label
-    core = core_hops == 0
-    in_giant = bool(giant[core].all())
-    return ComponentReport(
+    structure = ComponentStructure(
         labels=labels,
-        core_hops=core_hops,
         sizes=counts[order].tolist(),
-        giant_label=giant_label,
+        giant_label=int(uniq[order[0]]),
         giant_size=int(counts[order[0]]),
         second_size=int(counts[order[1]]) if counts.size > 1 else 0,
         giant_diameter=int(diameters[order[0]]),
         max_component_diameter=int(diameters.max()),
-        core_size=int(np.count_nonzero(core)),
-        core_clique=clique,
+    )
+    return structure, np.where(reached, hops, -1) if merged else None
+
+
+def component_structure(g: Graph) -> ComponentStructure:
+    """Component labels, sizes, the giant and exact diameters; it reads the
+    adjacency alone, so ``g`` may lack its points.
+
+    The BFS from the hub (the highest-degree node, the smallest id on
+    ties) labels its component and is that component's iFUB root BFS; the
+    other nodes are labelled by hooking, and one multi-source BFS gives the
+    other components' roots their distances (:func:`_component_diameters`).
+    """
+    return _structure(g, None)[0]
+
+
+def component_report(g: Graph, structure: ComponentStructure | None = None) -> ComponentReport:
+    """:func:`component_structure` plus the core's record: the hops from the
+    core (radius <= R/2), whether it is a clique and lies in the giant, and
+    its depth. ``structure`` is ``g``'s :func:`component_structure` when it
+    is already known; else its BFS from the other components' roots also
+    runs from the core when the hub's component holds the whole core."""
+    core = core_node_ids(g)
+    core_hops = None
+    if structure is None:
+        structure, core_hops = _structure(g, core)
+    if core_hops is None:
+        core_hops = bfs_distances(g, core)
+    giant = structure.labels == structure.giant_label
+    in_giant = bool(giant[core].all())
+    return ComponentReport(
+        **{f.name: getattr(structure, f.name) for f in fields(ComponentStructure)},
+        core_hops=core_hops,
+        core_size=int(core.size),
+        core_clique=check_core_clique(g),
         core_in_giant=in_giant,
-        core_depth=int(core_hops[giant].max()) if in_giant and core.any() else None,
+        core_depth=int(core_hops[giant].max()) if in_giant and core.size else None,
     )
 
 
@@ -419,10 +478,13 @@ class GraphAnalysis:
     reach: InnerBandReach
 
 
-def analyze_graph(g: Graph, inner_c: float = 1.0) -> GraphAnalysis:
+def analyze_graph(
+    g: Graph, inner_c: float = 1.0, structure: ComponentStructure | None = None
+) -> GraphAnalysis:
     """Components with exact diameters and the core's record, degrees, bands,
-    and hops from the core (radius <= R/2) to the inner band."""
-    comps = component_report(g)
+    and hops from the core (radius <= R/2) to the inner band; ``structure``
+    as in :func:`component_report`."""
+    comps = component_report(g, structure)
     return GraphAnalysis(
         components=comps,
         degrees=degree_stats(g),

@@ -12,7 +12,13 @@ parent builds the graph and writes the edge file, so it needs POSIX
 coordinate write no longer keeps the edge file from being written.
 
 ``analyze`` forks one child too, which reads the coordinate file while
-the parent parses the edge file; only the points come back. Its errors
+the parent parses the edge file; only the points come back. When the
+coordinate header fixes the point count (fixed mode, a file that can be
+read ahead and holds enough bytes for that many rows), the parent also
+checks the edges, builds the graph and finds its components and their
+diameters before it joins the child; the core's record, the bands, the
+degrees and the report follow the join. A Poisson file or a pipe has its
+edges checked and its graph built after the join. Either way the errors
 keep the order of a serial read: the coordinate file's (opened before
 the fork), then ``alpha >= 1`` (exit 2), then the edge file's.
 
@@ -134,8 +140,15 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from ._fork import fork_call
-    from .analysis import inner_band_radius
-    from .files import build_report, check_edges, dump_report, parse_edges, read_coords
+    from .analysis import component_structure, inner_band_radius
+    from .files import (
+        build_report,
+        check_edges,
+        dump_report,
+        fixed_point_count,
+        parse_edges,
+        read_coords,
+    )
     from .graphgen import Graph
 
     if not math.isfinite(args.inner_c):
@@ -146,6 +159,9 @@ def _cmd_analyze(args) -> int:
     # file's, then the model's, then the edge file's, as in a serial read.
     with contextlib.ExitStack() as opened:
         coords_fh = opened.enter_context(open(args.coords, "r", encoding="utf-8"))
+        # a fixed header gives the node count, and the parent builds the graph
+        # and its component structure while the child reads the points
+        count = fixed_point_count(coords_fh)
 
         def read_points():
             ps = read_coords(coords_fh)
@@ -156,14 +172,23 @@ def _cmd_analyze(args) -> int:
             return ps
 
         def parse_edge_file():
-            return parse_edges(opened.enter_context(open(args.edges, "r", encoding="utf-8")))
+            parsed = parse_edges(opened.enter_context(open(args.edges, "r", encoding="utf-8")))
+            if count is None:
+                return parsed
+            edges = check_edges(parsed, count)
+            del parsed  # the parsed columns go before the graph is built
+            g = Graph.from_edge_array(count, *edges)
+            del edges
+            return g, component_structure(g)
 
-        parsed, ps = fork_call(read_points, parse_edge_file, "coordinate reader")
-        edges = check_edges(parsed, len(ps))
-    del parsed  # the parsed columns go before the graph is built
-    g = Graph.from_edge_array(ps, *edges)
-    del edges
-    report = build_report(g, inner_c=args.inner_c)
+        result, ps = fork_call(read_points, parse_edge_file, "coordinate reader")
+        if count is None:  # the points give the node count
+            edges = check_edges(result, len(ps))
+            del result
+            result = Graph.from_edge_array(len(ps), *edges), None
+            del edges
+    g, structure = result
+    report = build_report(g.with_points(ps), inner_c=args.inner_c, structure=structure)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             dump_report(report, fh)

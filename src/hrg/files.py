@@ -23,13 +23,14 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 from itertools import islice
 from typing import TextIO
 
 import numpy as np
 
-from .analysis import TAIL_FLOOR, analyze_graph
+from .analysis import TAIL_FLOOR, ComponentStructure, analyze_graph
 from .geometry import TWO_PI, ModelParams
 from .graphgen import Graph
 from .sampling import MODE_FIXED, MODE_POISSON, PointSet
@@ -38,6 +39,7 @@ __all__ = [
     "DataFormatError",
     "write_coords",
     "read_coords",
+    "fixed_point_count",
     "write_edges",
     "read_edges",
     "parse_edges",
@@ -50,6 +52,9 @@ REPORT_SCHEMA = 1
 
 # Rows the writers format per ``write``: bounds the text held at once.
 WRITE_BLOCK = 1 << 16
+
+# Bytes of the shortest coordinate row, ``0\t0\t0\n``.
+MIN_COORD_ROW = 6
 
 # The data rows of each TSV format: dtype, delimiter (None: any whitespace),
 # the layout a column-count error names, and the number of the first line.
@@ -141,6 +146,27 @@ def read_coords(stream: TextIO) -> PointSet:
         return PointSet(params, radii, angles, mode, seed)
     except ValueError as exc:
         raise DataFormatError(str(exc), 1) from None
+
+
+def fixed_point_count(stream: TextIO) -> int | None:
+    """The point count that a coordinate file's header fixes, read ahead
+    from ``stream``, which is then back where it was.
+
+    None for a stream that cannot seek (a pipe), a Poisson header, a
+    header that :func:`read_coords` refuses, and a count of more rows of
+    ``MIN_COORD_ROW`` bytes than the file holds, so that a header alone
+    cannot make the reader allocate beyond the file's size."""
+    if not stream.seekable():
+        return None
+    start = stream.tell()
+    try:
+        size = os.fstat(stream.fileno()).st_size
+        params, _, mode = _parse_header(stream.readline())
+    except (OSError, ValueError, DataFormatError):  # a decoding error is a ValueError
+        return None
+    finally:
+        stream.seek(start)
+    return params.n if mode == MODE_FIXED and MIN_COORD_ROW * params.n <= size else None
 
 
 def write_edges(stream: TextIO, g: Graph) -> None:
@@ -430,12 +456,15 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-def build_report(g: Graph, inner_c: float = 1.0) -> dict:
+def build_report(
+    g: Graph, inner_c: float = 1.0, structure: ComponentStructure | None = None
+) -> dict:
     """Map :func:`~hrg.analysis.analyze_graph` onto the report's frozen key
-    names (schema 1)."""
+    names (schema 1); ``structure`` as in
+    :func:`~hrg.analysis.component_report`."""
     ps = g.pointset
     params = ps.params
-    result = analyze_graph(g, inner_c)
+    result = analyze_graph(g, inner_c, structure)
     comps, degrees, bands = result.components, result.degrees, result.bands
     return {
         "schema": REPORT_SCHEMA,

@@ -25,7 +25,7 @@ The module runs on numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,16 +97,17 @@ class Graph:
 
     ``indptr``/``indices`` form a CSR adjacency with each node's neighbor
     list sorted, each edge stored once from either end. It is the only
-    stored adjacency; :meth:`edges` derives the canonical edges.
+    stored adjacency; :meth:`edges` derives the canonical edges. A graph
+    built from a node count has no point set until :meth:`with_points`.
     """
 
-    pointset: PointSet
+    pointset: PointSet | None
     indptr: np.ndarray
     indices: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.pointset)
+        return self.indptr.size - 1
 
     @property
     def m(self) -> int:
@@ -134,16 +135,23 @@ class Graph:
         forward = src < dst
         return src.compress(forward), dst.compress(forward)
 
+    def with_points(self, ps: PointSet) -> "Graph":
+        """This graph over the point set ``ps``, which must hold n points."""
+        if len(ps) != self.n:
+            raise ValueError(f"graph has {self.n} nodes, point set {len(ps)} points")
+        return replace(self, pointset=ps)
+
     @classmethod
-    def from_edge_array(cls, ps: PointSet, us, vs) -> "Graph":
+    def from_edge_array(cls, ps: PointSet | int, us, vs) -> "Graph":
         """Build the canonical structure from endpoint arrays (one entry
-        per undirected edge, no self-loops, no duplicates).
+        per undirected edge, no self-loops, no duplicates), over a point
+        set or over a node count, with no points.
 
         One sort of the packed half-edge keys ``src * n + dst`` orders the
         CSR. The keys are packed and reduced to ``dst`` in place, so the 2m
         keys are the only array of that size held beside the inputs.
         """
-        n = len(ps)
+        n, ps = (ps, None) if isinstance(ps, int) else (len(ps), ps)
         base = max(n, 1)  # n = 0 admits no edge; keeps the divisor non-zero
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)

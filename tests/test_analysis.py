@@ -6,6 +6,7 @@ import io
 import json
 import math
 from collections import deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import tied_pointset
 
 from hrg import analysis
 from hrg.analysis import (
+    ComponentStructure,
     InnerBandReach,
     UnderpassResult,
     analyze_graph,
@@ -21,6 +23,7 @@ from hrg.analysis import (
     check_core_clique,
     check_underpass,
     component_report,
+    component_structure,
     connected_components,
     core_node_ids,
     degree_stats,
@@ -33,7 +36,7 @@ from hrg.cli import main
 from hrg.files import build_report
 from hrg.geometry import TWO_PI, ModelParams
 from hrg.graphgen import Graph, build_banded, layer_of_radius
-from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed
+from hrg.sampling import MODE_FIXED, MODE_POISSON, PointSet, sample_fixed, sample_poisson
 from hrg.verify import apsp_eccentricities, diameter_mismatches
 
 
@@ -222,9 +225,11 @@ class TestComponentReport:
         assert report.sizes == [9, 7, 5, 4, 2]
         assert report.giant_diameter == 4
         assert report.max_component_diameter == 6
-        # the core BFS (every node here lies in the core), then one BFS per
-        # round for all components, each source set shrinking as components stop
-        assert rounds == [27, 5, 5, 3, 2, 1]
+        # the hub's BFS (node 7, the star's centre), one from the four other
+        # roots, then one BFS per round for all components, each source set
+        # shrinking as components stop; last the core BFS (every node here
+        # lies in the core, outside the hub's component too)
+        assert rounds == [1, 4, 5, 3, 2, 1, 27]
 
     def test_grouping_against_oracles(self):
         # C in [2, 4] thins the graphs to hundreds of components each, from
@@ -246,6 +251,69 @@ class TestComponentReport:
             assert report.giant_label == giant
             assert report.giant_diameter == diameters[giant]
             assert report.max_component_diameter == max(diameters.values())
+
+
+def without_points(g):
+    """``g``'s adjacency over its node count, with no point set."""
+    return Graph.from_edge_array(g.n, *g.edges())
+
+
+def assert_same_structure(structure, report):
+    for field in fields(ComponentStructure):
+        mine, theirs = getattr(structure, field.name), getattr(report, field.name)
+        assert np.array_equal(mine, theirs) if field.name == "labels" else mine == theirs
+
+
+class TestComponentStructure:
+    """The half of ``component_report`` that reads the adjacency alone."""
+
+    @pytest.mark.parametrize("C", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("sampler", [sample_fixed, sample_poisson], ids=["fixed", "poisson"])
+    def test_points_withheld(self, C, sampler):
+        for seed in range(4):
+            g = build_banded(sampler(ModelParams(1500, 0.75, C), seed))
+            bare = without_points(g)
+            assert bare.pointset is None and bare.n == g.n
+            structure = component_structure(bare)
+            report = component_report(g)
+            assert_same_structure(structure, report)
+            # the core hops, whether the core BFS ran with the other roots' or alone
+            assert np.array_equal(report.core_hops, core_hops(g))
+            given = component_report(g, structure)
+            assert_same_structure(given, report)
+            assert np.array_equal(given.core_hops, report.core_hops)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_no_edges(self, n):
+        ps = PointSet(ModelParams(max(n, 1), 0.75, 0.0), np.zeros(n), np.zeros(n), MODE_POISSON, 0)
+        g = Graph.from_edge_array(ps, [], [])
+        structure = component_structure(without_points(g))
+        assert structure.labels.tolist() == list(range(n))
+        assert structure.sizes == [1] * n
+        assert (structure.giant_label, structure.giant_size) == ((0, 1) if n else (-1, 0))
+        assert structure.second_size == (1 if n > 1 else 0)
+        assert structure.giant_diameter == structure.max_component_diameter == 0
+        assert_same_structure(structure, component_report(g))
+
+    def test_hub_outside_the_largest_component(self):
+        # a 5-node star (hub 7, degree 4) beside a 7-node path, the giant
+        params = ModelParams(12, 0.75, 0.0)
+        path = [(v, v + 1) for v in range(6)]
+        star = [(7, leaf) for leaf in range(8, 12)]
+        g = manual_graph(params, [params.R] * 12, [0.0] * 12, path + star)
+        structure = component_structure(without_points(g))
+        assert structure.labels.tolist() == [0] * 7 + [7] * 5
+        assert structure.sizes == [7, 5]
+        assert (structure.giant_label, structure.giant_diameter) == (0, 6)
+        assert structure.max_component_diameter == 6
+        assert_same_structure(structure, component_report(g))
+
+    def test_points_attached_later(self):
+        g = disjoint_union_graph()
+        bare = without_points(g)
+        assert np.array_equal(bare.with_points(g.pointset).edges(), g.edges())
+        with pytest.raises(ValueError, match="27 nodes"):
+            bare.with_points(sample_fixed(ModelParams(5, 0.75, 0.0), 1))
 
 
 class TestCoreRecord:

@@ -33,13 +33,15 @@ from hrg.experiments import (
 from hrg.files import (
     DataFormatError,
     build_report,
+    dump_report,
+    fixed_point_count,
     read_coords,
     read_edges,
     write_coords,
     write_edges,
 )
 from hrg.geometry import MAX_NODES, ModelParams, theta_exact
-from hrg.graphgen import build_banded
+from hrg.graphgen import Graph, build_banded
 from hrg import sampling, verify
 from hrg.sampling import sample_fixed, sample_poisson
 from hrg.verify import run_verify
@@ -490,6 +492,81 @@ class TestAnalyze:
         capsys.readouterr()
         assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 3
         assert capsys.readouterr().err == "hrg analyze: I/O error: coordinate disk gone\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", ["fixed", "poisson", "pipe"])
+    def test_report_equals_library_path(self, tmp_path, kind):
+        # a fixed file has its graph built while the points are read; a
+        # Poisson file and a pipe, which cannot be read ahead, after them
+        coords, edges, report = tmp_path / "c.tsv", tmp_path / "e.tsv", tmp_path / "r.json"
+        argv = generate_argv(coords, edges, n=2000, seed=3) + (["--poisson"] if kind == "poisson" else [])
+        assert run_cli(argv) == 0
+        with open(coords, encoding="utf-8") as fh:
+            ps = read_coords(fh)
+        with open(edges, encoding="utf-8") as fh:
+            g = Graph.from_edge_array(ps, *read_edges(fh, len(ps)))
+        expected = io.StringIO()
+        dump_report(build_report(g), expected)
+        analyze = ["analyze", "--edges", str(edges), "--report", str(report)]
+        if kind == "pipe":
+            src = os.path.dirname(os.path.dirname(sys.modules["hrg"].__file__))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hrg.cli", *analyze, "--coords", "/dev/stdin"],
+                input=coords.read_bytes(), capture_output=True,
+                env=dict(os.environ, PYTHONPATH=src), timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        else:
+            assert run_cli(analyze + ["--coords", str(coords)]) == 0
+            assert_no_child_left()
+        assert report.read_bytes() == expected.getvalue().encode()
+
+    def test_huge_fixed_header_builds_no_graph(self, tmp_path, capsys, monkeypatch):
+        # a header claiming 2**30 points over three rows: the file is too
+        # short for that many rows, so no graph of 2**30 nodes is built
+        # while the child reads the rows
+        coords, edges = write_fixture(
+            tmp_path, ModelParams(3, 0.75, 0.0), [0.1] * 3, [0.0, 2.0, 4.0], [(0, 1), (1, 2)]
+        )
+        huge = ModelParams(2**30, 0.75, 0.0)
+        lines = coords.read_text().splitlines(keepends=True)
+        lines[0] = f"# hrg v1 n={huge.n} alpha=0.75 C=0.0 R={huge.R!r} seed=0 mode=fixed\n"
+        coords.write_text("".join(lines))
+        build, built = Graph.from_edge_array, []
+
+        def recording_build(nodes, us, vs):
+            built.append(nodes if isinstance(nodes, int) else len(nodes))
+            if built[-1] > 1000:
+                raise AssertionError(f"a graph of {built[-1]} nodes")  # before allocating it
+            return build(nodes, us, vs)
+
+        monkeypatch.setattr(Graph, "from_edge_array", recording_build)
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"hrg analyze: inconsistent data: line 1: fixed mode requires exactly n={2**30} points, got 3"
+        )
+        assert built == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "edge_text", ["0\t2000\n", "5\t5\n", "0\tx\n"], ids=["missing-id", "self-loop", "unparsable"]
+    )
+    def test_bad_row_beside_bad_edges(self, tmp_path, capsys, edge_text):
+        # the parent checks the edges against the header's count while the
+        # child reads the rows; the child's error still comes first
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges, n=2000, seed=5)) == 0
+        capsys.readouterr()
+        lines = coords.read_text().splitlines(keepends=True)
+        lines[1499] = "1498\tnan\t1.0\n"
+        coords.write_text("".join(lines))
+        edges.write_text(edge_text)
+        with open(coords, encoding="utf-8") as fh:
+            assert fixed_point_count(fh) == 2000
+        assert run_cli(["analyze", "--coords", str(coords), "--edges", str(edges)]) == 4
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "hrg analyze: inconsistent data: line 1500: point 1498 (nan, 1.0) not in [0, R] x [0, 2pi)"
+        )
         assert_no_child_left()
 
     @pytest.mark.parametrize("poisson", [False, True], ids=["fixed", "poisson"])

@@ -6,6 +6,7 @@ once."""
 
 import io
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hrg import files
 from hrg.files import (
     DataFormatError,
     _parse_header,
+    fixed_point_count,
     read_coords,
     read_edges,
     write_coords,
@@ -441,6 +443,60 @@ class TestCoordinateReader:
         header, _ = coordinate_header(3)
         assert outcome(read_coords, header) == outcome(oracle_read_coords, header)
         assert outcome(read_coords, header)[0] == "error"
+
+
+class TestFixedPointCount:
+    """The header read ahead of the rows, which ``hrg analyze`` uses to
+    build the graph while the points are read."""
+
+    @staticmethod
+    def count_of(path):
+        with open(path, encoding="utf-8") as fh:
+            count = fixed_point_count(fh)
+            assert fh.tell() == 0
+            return count, read_coords(fh) if count else None
+
+    def test_fixed_file(self, tmp_path):
+        ps = sample_fixed(ModelParams(300, 0.75, 0.0), 2)
+        path = tmp_path / "coords.tsv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_coords(fh, ps)
+        count, back = self.count_of(path)
+        assert count == 300 and np.array_equal(back.phi, ps.phi)
+
+    def test_rows_of_six_bytes(self, tmp_path):
+        header, _ = coordinate_header(10)
+        path = tmp_path / "coords.tsv"
+        path.write_text(header + "".join(f"{i}\t0\t0\n" for i in range(10)))
+        assert self.count_of(path)[0] == 10
+        # a header claiming more rows than the file's bytes can hold
+        path.write_text(coordinate_header(40)[0] + "0\t0\t0\n")
+        assert self.count_of(path) == (None, None)
+
+    @pytest.mark.parametrize("spoil", ["poisson", "bad-header", "empty", "undecodable"])
+    def test_no_count(self, tmp_path, spoil):
+        header, _ = coordinate_header(3)
+        text = header + "".join(f"{i}\t0.5\t1.5\n" for i in range(3))
+        path = tmp_path / "coords.tsv"
+        if spoil == "undecodable":
+            path.write_bytes(text.encode().replace(b"0.5", b"\xff", 1))
+        else:
+            path.write_text({"poisson": text.replace("mode=fixed", "mode=poisson"),
+                             "bad-header": text.replace("v1", "v2"), "empty": ""}[spoil])
+        with open(path, encoding="utf-8") as fh:
+            assert fixed_point_count(fh) is None
+            assert fh.tell() == 0
+
+    def test_streams_that_cannot_be_read_ahead(self):
+        header, _ = coordinate_header(2)
+        text = header + "0\t0.5\t1.5\n1\t0.25\t3\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, text.encode())
+        os.close(write_end)
+        with open(read_end, encoding="utf-8") as fh:
+            assert fixed_point_count(fh) is None  # cannot seek
+            assert read_coords(fh).r.tolist() == [0.5, 0.25]  # and is not read from
+        assert fixed_point_count(io.StringIO(text)) is None  # has no file size
 
 
 class Writes(io.StringIO):
