@@ -11,16 +11,16 @@ parent builds the graph and writes the edge file, so it needs POSIX
 ``os.fork``. On exit 3 either file may be incomplete, and a failed
 coordinate write no longer keeps the edge file from being written.
 
-``analyze`` forks one child too, which reads the coordinate file while
-the parent parses the edge file; only the points come back. When the
-coordinate header fixes the point count (fixed mode, a file that can be
-read ahead and holds enough bytes for that many rows), the parent also
-checks the edges, builds the graph and finds its components and their
-diameters before it joins the child; the core's record, the bands, the
-degrees and the report follow the join. A Poisson file or a pipe has its
-edges checked and its graph built after the join. Either way the errors
-keep the order of a serial read: the coordinate file's (opened before
-the fork), then ``alpha >= 1`` (exit 2), then the edge file's.
+``analyze`` has two shapes. When the coordinate header fixes the point
+count (fixed mode, a file that can be read ahead and holds enough bytes
+for that many rows), one forked child reads the coordinate file while
+the parent reads the edge file, builds the graph and finds its
+components and their diameters; only the points come back, and the
+core's record, the bands, the degrees and the report follow the join.
+Otherwise (a Poisson header, a pipe, a header claiming more rows than
+the file holds) it reads the coordinate file, then the edge file, in one
+process. Either way the errors keep the order of a serial read: the
+coordinate file's, then ``alpha >= 1`` (exit 2), then the edge file's.
 
 ``verify`` also forks one child, for the checks that take only the seed
 (underpass and core, file round-trip, the sampler tests), while the
@@ -141,26 +141,14 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     from ._fork import fork_call
     from .analysis import component_structure, inner_band_radius
-    from .files import (
-        build_report,
-        check_edges,
-        dump_report,
-        fixed_point_count,
-        parse_edges,
-        read_coords,
-    )
+    from .files import build_report, dump_report, fixed_point_count, read_coords, read_edges
     from .graphgen import Graph
 
     if not math.isfinite(args.inner_c):
         raise UsageError(f"--inner-c must be finite, got {args.inner_c!r}")
     if args.report and (_one_file(args.report, args.coords) or _one_file(args.report, args.edges)):
         raise UsageError("--report names the same file as --coords or --edges")
-    # The child's error is raised ahead of the edge file's: the coordinate
-    # file's, then the model's, then the edge file's, as in a serial read.
-    with contextlib.ExitStack() as opened:
-        coords_fh = opened.enter_context(open(args.coords, "r", encoding="utf-8"))
-        # a fixed header gives the node count, and the parent builds the graph
-        # and its component structure while the child reads the points
+    with open(args.coords, "r", encoding="utf-8") as coords_fh:
         count = fixed_point_count(coords_fh)
 
         def read_points():
@@ -171,24 +159,21 @@ def _cmd_analyze(args) -> int:
                 raise UsageError(str(exc)) from exc
             return ps
 
-        def parse_edge_file():
-            parsed = parse_edges(opened.enter_context(open(args.edges, "r", encoding="utf-8")))
-            if count is None:
-                return parsed
-            edges = check_edges(parsed, count)
-            del parsed  # the parsed columns go before the graph is built
-            g = Graph.from_edge_array(count, *edges)
-            del edges
+        def build_graph():
+            with open(args.edges, "r", encoding="utf-8") as fh:
+                g = Graph.from_edge_array(count, *read_edges(fh, count))
             return g, component_structure(g)
 
-        result, ps = fork_call(read_points, parse_edge_file, "coordinate reader")
-        if count is None:  # the points give the node count
-            edges = check_edges(result, len(ps))
-            del result
-            result = Graph.from_edge_array(len(ps), *edges), None
-            del edges
-    g, structure = result
-    report = build_report(g.with_points(ps), inner_c=args.inner_c, structure=structure)
+        if count is None:  # a Poisson header, a pipe or a count the file cannot hold
+            ps = read_points()
+            with open(args.edges, "r", encoding="utf-8") as fh:
+                g, structure = Graph.from_edge_array(ps, *read_edges(fh, len(ps))), None
+        else:
+            # the child reads the points while this process builds the graph;
+            # the child's error is raised first, as in the serial read
+            (g, structure), ps = fork_call(read_points, build_graph, "coordinate reader")
+            g = g.with_points(ps)
+    report = build_report(g, inner_c=args.inner_c, structure=structure)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             dump_report(report, fh)

@@ -42,8 +42,6 @@ __all__ = [
     "fixed_point_count",
     "write_edges",
     "read_edges",
-    "parse_edges",
-    "check_edges",
     "build_report",
     "dump_report",
 ]
@@ -326,22 +324,8 @@ def read_edges(stream: TextIO, point_count: int) -> tuple[np.ndarray, np.ndarray
     order as two int64 arrays, (min ids, max ids), which
     :meth:`Graph.from_edge_array` takes as they are.
     """
-    return check_edges(parse_edges(stream), point_count)
-
-
-def parse_edges(stream: TextIO) -> tuple:
-    """The first step of :func:`read_edges`: the edge file's rows,
-    unchecked, so that they can be read before the point count is known.
-    Pass the result to :func:`check_edges` while ``stream`` is still open:
-    it reads the stream again for line numbers."""
     with _decoded(stream):
-        return _load_rows(stream, _EDGE_ROWS)
-
-
-def check_edges(parsed: tuple, point_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The second step of :func:`read_edges`: its rules, on the rows of
-    :func:`parse_edges`; returns what :func:`read_edges` returns."""
-    (a, b), refusal, line_of = parsed
+        (a, b), refusal, line_of = _load_rows(stream, _EDGE_ROWS)
     a_missing, b_missing = ((ids < 0) | (ids >= point_count) for ids in (a, b))
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     loop = lo == hi

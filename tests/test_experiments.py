@@ -759,6 +759,9 @@ class TestSweep:
             {"out_csv": "x.csv"},
             {"n_values": [10, 1000], "alpha": 0.99, "C": 695.0},
             {"n_values": [10, 1000], "alpha": 0.75, "C": 345.0},
+            {"n_values": []},
+            {"seeds": 0},
+            {"mode": "grid"},
         ]:
             config = self.make_config(tmp_path, **overrides)
             assert run_cli(["sweep", "--config", str(config)]) == 2, overrides
@@ -1210,6 +1213,20 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out and "input-consistency" in out
+
+    def test_reordered_edge_file_passes(self, tmp_path):
+        # the same edges in reverse row order, some with swapped ends: the
+        # graph is the same, and so is hrg analyze's report
+        coords, edges = tmp_path / "c.tsv", tmp_path / "e.tsv"
+        assert run_cli(generate_argv(coords, edges, n=500, seed=9)) == 0
+        rows = edges.read_text().splitlines()[::-1]
+        rows[::2] = ["\t".join(row.split("\t")[::-1]) for row in rows[::2]]
+        edges.write_text("\n".join(rows) + "\n")
+        results, code = run_verify(quick=True, seed=123, coords=str(coords), edges=str(edges))
+        line = next(r for r in results if r.name == "files/input-consistency")
+        assert line.passed and code == 0
+        assert line.detail == "edge file matches rebuild from coordinates=True (file m=975, rebuilt m=975)"
+        assert_no_child_left()
 
     def test_mismatched_flags_usage_error(self):
         assert run_cli(["verify", "--coords", "only"]) == 2

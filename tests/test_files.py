@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hrg import files
+from hrg.cli import main
 from hrg.files import (
     DataFormatError,
     _parse_header,
@@ -473,8 +474,8 @@ class TestFixedPointCount:
         path.write_text(coordinate_header(40)[0] + "0\t0\t0\n")
         assert self.count_of(path) == (None, None)
 
-    @pytest.mark.parametrize("spoil", ["poisson", "bad-header", "empty", "undecodable"])
-    def test_no_count(self, tmp_path, spoil):
+    @pytest.mark.parametrize("spoil", ["poisson", "bad-header", "empty", "undecodable", "grid"])
+    def test_no_count(self, tmp_path, capsys, spoil):
         header, _ = coordinate_header(3)
         text = header + "".join(f"{i}\t0.5\t1.5\n" for i in range(3))
         path = tmp_path / "coords.tsv"
@@ -482,10 +483,24 @@ class TestFixedPointCount:
             path.write_bytes(text.encode().replace(b"0.5", b"\xff", 1))
         else:
             path.write_text({"poisson": text.replace("mode=fixed", "mode=poisson"),
-                             "bad-header": text.replace("v1", "v2"), "empty": ""}[spoil])
+                             "bad-header": text.replace("v1", "v2"), "empty": "",
+                             "grid": text.replace("mode=fixed", "mode=grid")}[spoil])
         with open(path, encoding="utf-8") as fh:
             assert fixed_point_count(fh) is None
             assert fh.tell() == 0
+        # hrg analyze reads such a file in series, and refuses it as read_coords does
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("0\t1\n")
+        code = main(["analyze", "--coords", str(path), "--edges", str(edges)])
+        error = {
+            "bad-header": "line 1: expected '# hrg v1' coordinate header",
+            "empty": "line 1: empty coordinate file",
+            "undecodable": "line 2: not valid utf-8 text (invalid start byte)",
+            "grid": "line 1: unknown mode 'grid'",
+        }.get(spoil)
+        assert (code, capsys.readouterr().err) == (
+            (0, "") if error is None else (4, f"hrg analyze: inconsistent data: {error}\n")
+        )
 
     def test_streams_that_cannot_be_read_ahead(self):
         header, _ = coordinate_header(2)
